@@ -38,6 +38,11 @@ val schema_version : int
 (** Version stamped into (and required of) [BENCH_scale.json]: bumped
     when a field split or rename would make old baselines unreadable. *)
 
+val run_distrib : contention:[ `Low | `High ] -> txns:int -> point
+(** One run of the distributed engine at an E13 point (seed, MPL, four
+    sites and the contention parameters of the sweep), without the
+    best-of-three repetition. *)
+
 val sweep : ?quick:bool -> unit -> point list
 (** Run the full grid: txns ∈ \{100, 1k, 5k\} (quick: \{100, 500\}) ×
     contention ∈ \{low, high\} × engine ∈ \{central, distrib\}. Each

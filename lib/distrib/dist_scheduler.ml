@@ -155,8 +155,9 @@ type t = {
   mutable max_blocked_ticks : int;
   mutable total_blocked_ticks : int;
   mutable check_seconds : float;
-      (** wall time inside the block-time would-deadlock probes, when the
-          config supplies a clock *)
+      (** wall time inside the cycle checks (block-time would-deadlock
+          and local-cycle probes, global-round censuses), when the config
+          supplies a clock *)
   mutable check_calls : int;
   mutable enumerate_seconds : float;
       (** wall time enumerating cycles for the resolver (local and global
@@ -637,11 +638,35 @@ let resolve_cycles ?(deferred = false) t requester cycles =
     (fun i (v, entities) -> apply_rollback ~deferred ~stagger:i t v entities)
     decision.Resolver.victims
 
+(* Detection accounting (DESIGN §14): the boolean questions — the
+   block-time would-deadlock probe, the site-restricted local-cycle probe
+   and a global round's cycle-membership census — are checks, billed
+   here; the cycle enumeration the resolver consumes bills to the
+   enumerate counters inside [resolver_cycles]. Victim selection and
+   rollback application are resolution, not detection, and stay
+   untimed. *)
+let check t f =
+  t.check_calls <- t.check_calls + 1;
+  match t.cfg.clock with
+  | None -> f ()
+  | Some clk ->
+      let t0 = clk () in
+      let r = f () in
+      t.check_seconds <- t.check_seconds +. (clk () -. t0);
+      r
+
 (* Local detection at block time: a site resolves instantly any cycle
-   whose contested entities all live on it. *)
+   whose contested entities all live on it. The site-restricted probe
+   answers "is there such a cycle?" without enumerating; when it says no,
+   every enumerated cycle would have been filtered out as non-local, so
+   enumeration runs only where a local cycle exists. *)
 let rec resolve_local t requester round =
   if round > 1000 then raise (Stuck "local resolution did not converge");
-  if Waits_for.is_blocked t.wfg requester then begin
+  if
+    Waits_for.is_blocked t.wfg requester
+    && check t (fun () ->
+           Waits_for.on_site_cycle t.wfg ~site_of:t.site_fn requester)
+  then begin
     let local =
       List.filter (is_local_cycle t) (resolver_cycles t requester)
     in
@@ -652,26 +677,29 @@ let rec resolve_local t requester round =
     end
   end
 
-(* Block-time detection under the cost clock: only the boolean
-   would-deadlock probe is a "check"; a local resolution it triggers
-   bills its cycle enumeration to the enumerate counters inside
-   [resolver_cycles] (victim selection and rollback application are
-   resolution, not detection, and stay untimed). *)
 let local_check t id ~holders =
-  t.check_calls <- t.check_calls + 1;
-  let hit =
-    match t.cfg.clock with
-    | None -> Waits_for.would_deadlock t.wfg ~waiter:id ~holders
-    | Some clk ->
-        let t0 = clk () in
-        let r = Waits_for.would_deadlock t.wfg ~waiter:id ~holders in
-        t.check_seconds <- t.check_seconds +. (clk () -. t0);
-        r
-  in
-  if hit then resolve_local t id 0
+  if check t (fun () -> Waits_for.would_deadlock t.wfg ~waiter:id ~holders)
+  then resolve_local t id 0
 
+(* Ascending, and O(live): the waits-for graph keeps its vertex set
+   sorted. *)
 let blocked_txns t =
   List.filter (fun id -> Waits_for.is_blocked t.wfg id) (Waits_for.txns t.wfg)
+
+(* The deadlock a global round resolves next: the lowest blocked
+   transaction with a cycle the coordinator can see, with those cycles.
+   One cycle-membership census, seeded with every blocked transaction,
+   narrows the walk to the transactions that lie on a cycle at all —
+   exactly those whose enumeration is non-empty — so the ascending walk
+   picks what a scan enumerating every blocked transaction would, while
+   enumerating only where a cycle exists. *)
+let next_global_deadlock t ~visible =
+  List.find_map
+    (fun b ->
+      match List.filter visible (resolver_cycles t b) with
+      | [] -> None
+      | cycles -> Some (b, cycles))
+    (check t (fun () -> Waits_for.on_cycle_from t.wfg (blocked_txns t)))
 
 (* Global detector: every site ships its waits-for edges to a coordinator
    which resolves everything it sees, local or not. Under a fault plan a
@@ -700,15 +728,7 @@ let run_global_detection t =
   let rec fixpoint () =
     incr round;
     if !round > 1000 then raise (Stuck "global detection did not converge");
-    let site =
-      List.find_map
-        (fun b ->
-          match List.filter cycle_visible (resolver_cycles t b) with
-          | [] -> None
-          | cycles -> Some (b, cycles))
-        (blocked_txns t)
-    in
-    match site with
+    match next_global_deadlock t ~visible:cycle_visible with
     | None -> ()
     | Some (requester, cycles) ->
         t.global_deadlocks <- t.global_deadlocks + 1;
@@ -731,7 +751,7 @@ let degrade t =
           t.timeout_aborts <- t.timeout_aborts + 1;
           restart_txn t b ~resume_at:(t.tick + 1 + t.cfg.restart_delay)
       | Some _ | None -> ())
-    (List.sort Txn_id.compare (blocked_txns t))
+    (blocked_txns t)
 
 (* One firing of the global-detector service: decide per the detection
    policy whether a round actually runs, and return the delay until the
@@ -1222,9 +1242,9 @@ type stats = {
   total_blocked_ticks : int;
   max_txn_rollbacks : int;
   check_seconds : float;
-      (** wall time inside the block-time would-deadlock probes; 0 unless
-          the config supplies a {!config.clock} *)
-  check_calls : int;  (** would-deadlock probes run at block time *)
+      (** wall time inside the cycle checks; 0 unless the config supplies
+          a {!config.clock} *)
+  check_calls : int;  (** cycle checks run (probes plus censuses) *)
   enumerate_seconds : float;
       (** wall time enumerating cycles for the resolver, local checks and
           global rounds alike; 0 unless the config supplies a clock *)

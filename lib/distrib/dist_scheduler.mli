@@ -142,6 +142,19 @@ val waits_for : t -> Prb_wfg.Waits_for.t
 val lock_table : t -> Prb_lock.Lock_table.t
 (** Live view — do not mutate. *)
 
+val next_global_deadlock :
+  t ->
+  visible:((int * Prb_storage.Store.entity) list -> bool) ->
+  (int * (int * Prb_storage.Store.entity) list list) option
+(** One global-round pick: the lowest blocked transaction that has a
+    [visible] cycle, with those cycles as the resolver receives them
+    (arcs [(txn, entity it is waited on for)], ending at the requester).
+    Equal to scanning every blocked transaction in ascending order and
+    enumerating its cycles, but driven by one cycle-membership census,
+    so only transactions on a cycle are enumerated. Bills the census to
+    [check_calls] and each enumeration to [enumerate_calls]; resolves
+    nothing. *)
+
 type stats = {
   ticks : int;
   commits : int;
@@ -184,14 +197,19 @@ type stats = {
           [starvation_limit] plus degraded-mode forced restarts whenever
           [starvation_fallbacks] is 0 *)
   check_seconds : float;
-      (** wall time inside the block-time would-deadlock probes; 0 unless
-          the config supplies a {!config.clock} *)
-  check_calls : int;  (** would-deadlock probes run at block time *)
+      (** wall time inside the cycle checks — block-time would-deadlock
+          and site-restricted local-cycle probes, and the cycle-membership
+          census of every global-round iteration; 0 unless the config
+          supplies a {!config.clock} *)
+  check_calls : int;  (** cycle checks run (probes plus censuses) *)
   enumerate_seconds : float;
       (** wall time enumerating cycles for the resolver, block-time local
           checks and global rounds alike; 0 unless the config supplies a
           clock *)
-  enumerate_calls : int;  (** cycle enumerations run *)
+  enumerate_calls : int;
+      (** cycle enumerations run — only for transactions a check put on a
+          cycle (a site-local one, at block time), so without faults or
+          enumeration truncation every enumeration resolves a deadlock *)
 }
 
 val stats : t -> stats

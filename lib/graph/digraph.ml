@@ -208,7 +208,13 @@ let cycles_through ?(limit = 10_000) ?budget t root =
     if not (Hashtbl.mem forward root) then []
       (* root is on no cycle at all *)
     else begin
-      let budget = match budget with Some b -> b | None -> 200 * (limit + 50) in
+      let budget =
+        match budget with
+        | Some b -> b
+        | None ->
+            if limit > (max_int / 200) - 50 then max_int
+            else 200 * (limit + 50)
+      in
       let cycles = ref [] in
       let count = ref 0 in
       let steps = ref 0 in

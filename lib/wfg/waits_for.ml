@@ -17,6 +17,8 @@ type entity = Prb_storage.Store.entity
    differential tests. *)
 type t = {
   mutable present : bool array;
+  mutable live : int array; (* present vertices, ascending *)
+  mutable n_live : int;
   mutable out_buf : int array array; (* holders of v, ascending *)
   mutable out_len : int array;
   mutable in_buf : int array array; (* waiters on v, ascending *)
@@ -58,6 +60,8 @@ type t = {
 let create () =
   {
     present = [||];
+    live = [||];
+    n_live = 0;
     out_buf = [||];
     out_len = [||];
     in_buf = [||];
@@ -170,9 +174,44 @@ let sorted_remove (bufs : int array array) lens i v =
     lens.(i) <- n - 1
   end
 
-let add_txn t v =
+(* Lowest index in the ascending [live.(lo..hi-1)] whose id is not below
+   [v]: binary search, int-typed and closure-free for the submit/commit
+   path. *)
+let rec live_pos (live : int array) (v : int) lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if live.(mid) < v then live_pos live v (mid + 1) hi
+    else live_pos live v lo mid
+
+(* The live set mirrors [present] as an ascending id buffer, so every
+   whole-graph walk ([txns], [edges], the shape checks) costs O(live)
+   instead of O(ids ever seen). Ids are handed out ascending, so entering
+   one is almost always an append. *)
+let mark_present t v =
+  if not t.present.(v) then begin
+    t.present.(v) <- true;
+    let n = t.n_live in
+    if n >= Array.length t.live then
+      t.live <- grow_int (max 64 (2 * n)) 0 t.live;
+    let p = live_pos t.live v 0 n in
+    Array.blit t.live p t.live (p + 1) (n - p);
+    t.live.(p) <- v;
+    t.n_live <- n + 1
+  end
+
+let unmark_present t v =
+  if t.present.(v) then begin
+    t.present.(v) <- false;
+    let n = t.n_live - 1 in
+    let p = live_pos t.live v 0 t.n_live in
+    Array.blit t.live (p + 1) t.live p (n - p);
+    t.n_live <- n
+  end
+
+let[@hot] add_txn t v =
   ensure t v;
-  t.present.(v) <- true
+  mark_present t v
 
 let next_stamp t =
   t.stamp <- t.stamp + 1;
@@ -334,7 +373,7 @@ let[@hot] clear_wait t v =
     t.out_len.(v) <- 0
   end
 
-let remove_txn t v =
+let[@hot] remove_txn t v =
   if v >= 0 && v < t.cap then begin
     clear_wait t v;
     for i = 0 to t.in_len.(v) - 1 do
@@ -343,7 +382,7 @@ let remove_txn t v =
       if t.ord.(u) > t.ord.(v) then t.n_viol <- t.n_viol - 1
     done;
     t.in_len.(v) <- 0;
-    t.present.(v) <- false;
+    unmark_present t v;
     t.orded.(v) <- false
   end
 
@@ -356,7 +395,7 @@ let rec link_holders t waiter = function
   | [] -> ()
   | h :: rest ->
       ensure t h;
-      t.present.(h) <- true;
+      mark_present t h;
       if sorted_insert t.out_buf t.out_len waiter h then begin
         ignore (sorted_insert t.in_buf t.in_len h waiter : bool);
         ord_as_holder t h;
@@ -369,7 +408,7 @@ let[@hot] set_wait t ~waiter ~holders entity =
     invalid_arg "Waits_for.set_wait: waiter among holders";
   ensure t waiter;
   clear_wait t waiter;
-  t.present.(waiter) <- true;
+  mark_present t waiter;
   (match holders with [] -> () | _ :: _ -> ord_as_waiter t waiter);
   link_holders t waiter holders;
   t.label.(waiter) <- entity
@@ -398,11 +437,10 @@ let waiting_on t v =
 let is_blocked t v = v >= 0 && v < t.cap && t.out_len.(v) > 0
 
 let txns t =
-  let rec collect v acc =
-    if v < 0 then acc
-    else collect (v - 1) (if t.present.(v) then v :: acc else acc)
+  let rec collect i acc =
+    if i < 0 then acc else collect (i - 1) (t.live.(i) :: acc)
   in
-  collect (t.cap - 1) []
+  collect (t.n_live - 1) []
 
 let edges t =
   (* waiters ascending, holders ascending within each: lexicographic *)
@@ -473,6 +511,48 @@ let[@hot] would_deadlock t ~waiter ~holders =
       | _ -> false
       | exception Found -> true)
 
+(* Site-restricted cycle probe: does [root] reach itself through blocked
+   vertices whose wait entity lives on [site]? All of a waiter's
+   out-edges carry its wait entity, so the arc labels of a cycle are
+   exactly its members' wait entities, and a shortest restricted closed
+   walk through [root] is a simple cycle — the answer is "some cycle
+   through [root] is local to [site]", with no enumeration. The stamp
+   marks rejected vertices as well as admitted ones, so [site_of] runs at
+   most once per vertex. *)
+let rec lc_succ t stamp root (site : int) site_of v i top =
+  if i >= t.out_len.(v) then top
+  else begin
+    let w = t.out_buf.(v).(i) in
+    if w = root then raise Found
+    else if t.seen_mark.(w) <> stamp then begin
+      t.seen_mark.(w) <- stamp;
+      if t.out_len.(w) > 0 && site_of t.label.(w) = site then
+        lc_succ t stamp root site site_of v (i + 1) (stack_push t top w)
+      else lc_succ t stamp root site site_of v (i + 1) top
+    end
+    else lc_succ t stamp root site site_of v (i + 1) top
+  end
+
+let rec lc_drain t stamp root site site_of top =
+  top > 0
+  && lc_drain t stamp root site site_of
+       (lc_succ t stamp root site site_of t.stack.(top - 1) 0 (top - 1))
+
+let[@hot] on_site_cycle t ~site_of root =
+  (* [n_viol = 0] certifies a topological order, so no cycle exists *)
+  root >= 0 && root < t.cap
+  && t.out_len.(root) > 0
+  && t.n_viol > 0
+  &&
+  let site : int = site_of t.label.(root) in
+  let stamp = next_stamp t in
+  match
+    lc_drain t stamp root site site_of
+      (lc_succ t stamp root site site_of root 0 0)
+  with
+  | _ -> false
+  | exception Found -> true
+
 (* Mark every vertex reachable from [v] along [buf]/[len] edges with
    [stamp] in [mark]. [v] itself is marked only if re-reached — exactly
    the Digraph [reach_set] convention ([root] marked forward <=> root on
@@ -510,7 +590,9 @@ let cycles_through ?(limit = 10_000) t root =
     let in_scc v = t.fwd_mark.(v) = stamp && t.bwd_mark.(v) = stamp in
     if t.fwd_mark.(root) <> stamp then [] (* root is on no cycle at all *)
     else begin
-      let budget = 200 * (limit + 50) in
+      let budget =
+        if limit > (max_int / 200) - 50 then max_int else 200 * (limit + 50)
+      in
       let cycles = ref [] in
       let count = ref 0 in
       let steps = ref 0 in
@@ -641,19 +723,21 @@ let has_cycle t =
         t.on_path.(v) <- false;
         clear rest
   in
-  let rec roots v =
-    if v >= t.cap then false
-    else if t.present.(v) && t.seen_mark.(v) <> stamp then
-      match dfs v with () -> roots (v + 1) | exception Cycle -> true
-    else roots (v + 1)
+  let rec roots i =
+    if i >= t.n_live then false
+    else
+      let v = t.live.(i) in
+      if t.seen_mark.(v) <> stamp then
+        match dfs v with () -> roots (i + 1) | exception Cycle -> true
+      else roots (i + 1)
   in
   let found = roots 0 in
   if found then clear (txns t);
   found
 
 let is_exclusive_forest t =
-  let rec degrees v =
-    v >= t.cap || ((not t.present.(v)) || t.out_len.(v) <= 1) && degrees (v + 1)
+  let rec degrees i =
+    i >= t.n_live || (t.out_len.(t.live.(i)) <= 1 && degrees (i + 1))
   in
   degrees 0 && not (has_cycle t)
 

@@ -46,6 +46,9 @@ val waiting_on : t -> txn -> (txn * entity) list
 val is_blocked : t -> txn -> bool
 
 val txns : t -> txn list
+(** Present transactions, ascending. O(live): the vertex set is kept as
+    a sorted buffer, so the cost does not grow with the ids ever seen. *)
+
 val edges : t -> (txn * txn * entity) list
 (** (waiter, holder, entity), lexicographic. *)
 
@@ -55,6 +58,15 @@ val would_deadlock : t -> waiter:txn -> holders:txn list -> bool
     Section 3.1 (on the transposed orientation). The graph is not
     modified. One multi-source early-exit DFS over all holders (shared
     visited set), not a full reachability pass per holder. *)
+
+val on_site_cycle : t -> site_of:(entity -> int) -> txn -> bool
+(** Does some waits-for cycle through the transaction have every arc
+    label on one site — the site of the transaction's own wait entity?
+    Equal to [List.exists local (cycles_through ~limit:max_int t v)]
+    where [local] asks that all arc labels share a site, but answered by
+    one reachability pass restricted to the waiters on that site: no
+    enumeration, no allocation, [site_of] called at most once per vertex
+    reached. False for a transaction that is not blocked. *)
 
 val on_cycle_from : t -> txn list -> txn list
 (** Transactions lying on some waits-for cycle reachable from the seeds,

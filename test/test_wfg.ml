@@ -237,6 +237,60 @@ let qcheck_dynamic_order_vs_reference =
           agree others)
         script)
 
+(* qcheck: the site-restricted probe against enumeration. Random
+   waits-for churn over a handful of entities scattered over three sites
+   by a random map; after every step, for every transaction, the probe
+   must agree with "some enumerated cycle through it has all its arc
+   labels on one site" — the filter the multi-site engine's local
+   detection applies — with the enumeration unbounded. *)
+let qcheck_site_cycle_vs_enumeration =
+  let n = 8 in
+  QCheck.Test.make ~name:"site-restricted probe matches filtered enumeration"
+    ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(5 -- 5) (int_bound 2))
+        (list_of_size Gen.(0 -- 30)
+           (quad (int_bound 5) (int_bound (n - 1))
+              (list_of_size Gen.(0 -- 3) (int_bound (n - 1)))
+              (int_bound 4))))
+    (fun (sites, script) ->
+      let sites = Array.of_list sites in
+      let entity i = "e" ^ string_of_int i in
+      let site_of e = sites.(int_of_string (String.sub e 1 1)) in
+      let g = W.create () in
+      let label u v =
+        match W.wait_label g u v with Some e -> e | None -> assert false
+      in
+      (* a cycle [root; a; ...; z] has arcs root->a, ..., z->root *)
+      let is_local root cycle =
+        let rec arc_sites = function
+          | u :: (v :: _ as rest) -> site_of (label u v) :: arc_sites rest
+          | [ last ] -> [ site_of (label last root) ]
+          | [] -> []
+        in
+        match arc_sites cycle with
+        | s :: rest -> List.for_all (fun s' -> s' = s) rest
+        | [] -> true
+      in
+      let agree v =
+        W.on_site_cycle g ~site_of v
+        = List.exists (is_local v) (W.cycles_through ~limit:max_int g v)
+      in
+      List.for_all
+        (fun (op, id, others, e) ->
+          (match op with
+          | 0 | 1 | 2 ->
+              let holders =
+                List.sort_uniq compare (List.filter (fun h -> h <> id) others)
+              in
+              if holders <> [] then
+                W.set_wait g ~waiter:id ~holders (entity e)
+          | 3 -> W.clear_wait g id
+          | _ -> W.remove_txn g id);
+          List.for_all agree (List.init n Fun.id))
+        script)
+
 let () =
   Alcotest.run "prb_wfg"
     [
@@ -255,5 +309,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_would_deadlock_oracle;
           QCheck_alcotest.to_alcotest qcheck_dense_vs_reference;
           QCheck_alcotest.to_alcotest qcheck_dynamic_order_vs_reference;
+          QCheck_alcotest.to_alcotest qcheck_site_cycle_vs_enumeration;
         ] );
     ]
