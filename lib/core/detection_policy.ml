@@ -78,3 +78,10 @@ let all_deferred =
   ]
 
 let all = Eager :: all_deferred
+
+(* The [Adaptive] cadence: a round that found a deadlock halves the
+   interval; two empty rounds in a row double it. *)
+let adapt ~found ~interval ~quiet =
+  if found then (max adaptive_min (interval / 2), 0)
+  else if quiet + 1 >= 2 then (min adaptive_max (interval * 2), 0)
+  else (interval, quiet + 1)

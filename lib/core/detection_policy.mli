@@ -57,6 +57,14 @@ val stall_bound : t -> int
 val initial_interval : t -> int
 (** First scheduled pass/probe delay; 0 for [Eager]. *)
 
+val adapt : found:bool -> interval:int -> quiet:int -> int * int
+(** One step of the [Adaptive] cadence, after a round that [found] a
+    deadlock or not, given the current [interval] and the number of empty
+    rounds in a row ([quiet]). Returns the next interval and count: a
+    round that found a deadlock halves the interval (down to
+    [adaptive_min]); the second empty round in a row doubles it (up to
+    [adaptive_max]). *)
+
 val adaptive_min : int
 val adaptive_max : int
 val adaptive_start : int

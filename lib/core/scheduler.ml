@@ -1,4 +1,3 @@
-module Store = Prb_storage.Store
 module Program = Prb_txn.Program
 module Lock_mode = Prb_txn.Lock_mode
 module Lock_table = Prb_lock.Lock_table
@@ -6,10 +5,7 @@ module Waits_for = Prb_wfg.Waits_for
 module Strategy = Prb_rollback.Strategy
 module Txn_state = Prb_rollback.Txn_state
 module History = Prb_history.History
-module History_stack = Prb_rollback.History_stack
 module Pqueue = Prb_util.Dense.Pqueue
-module Rng = Prb_util.Rng
-module Util = Prb_util.Util
 module Txn_id = Prb_txn.Txn_id
 module Fault = Prb_fault.Fault
 
@@ -50,13 +46,9 @@ let default_config =
     clock = None;
   }
 
-exception Stuck of string
+exception Stuck = Kernel.Stuck
 
-(* Debug tracing: enable with Logs.Src.set_level (e.g. via the CLI's
-   --verbose) to watch grants, blocks, deadlocks and rollbacks. *)
-let src = Logs.Src.create "prb.scheduler" ~doc:"partial-rollback scheduler"
-
-module Log = (val Logs.src_log src : Logs.LOG)
+module Log = Kernel.Log
 
 (* Events live in a dense int-payload queue ({!Pqueue}): each entry is a
    (tag, a, b) triple, so the steady-state tick loop pushes and pops
@@ -87,26 +79,9 @@ let ev_watchdog = 5
 
 type t = {
   cfg : config;
-  store : Store.t;
-  locks : Lock_table.t;
-  wfg : Waits_for.t;
-  mutable txns : Txn_state.t option array;
-      (** indexed by transaction id; ids are dense ([0 .. next_id)), and a
-          slot is [Some] from submission onward (committed transactions
-          stay, carrying their accounting) *)
+  k : Kernel.t;
   events : Pqueue.t;
-  hist : History.t;
-  rng : Rng.t;
-  pool : History_stack.Pool.t;
-      (** recycles history-stack buffers across all transactions *)
-  mutable next_id : int;
-  mutable tick : int;
-  mutable commits : int;
-  mutable deadlocks : int;
   mutable cycles_broken : int;
-  mutable rollback_events : int;
-  mutable requeue_events : int;
-  mutable overshoot_ops : int;
   mutable optimal_resolutions : int;
   mutable timeout_events : int;
   mutable prevention_events : int;
@@ -122,26 +97,10 @@ type t = {
           duplicate-free). *)
   mutable dirty_ids : int array;
   mutable n_dirty : int;
-  mutable check_seconds : float;
-      (** wall time inside the boolean deadlock checks — [would_deadlock]
-          probes and [on_cycle_from] census passes — when the config
-          supplies a clock *)
-  mutable check_calls : int;
-  mutable enumerate_seconds : float;
-      (** wall time inside cycle enumeration ([cycles_through], the
-          resolver's input), when the config supplies a clock *)
-  mutable enumerate_calls : int;
-  mutable blocked_since : int array;
-      (** tick at which each currently-blocked transaction blocked ([-1]
-          when untracked); feeds [Timeout_abort] timers, lazy probes, the
-          stall watchdog and the blocked-duration statistics *)
-  mutable n_blocked : int;  (** entries of [blocked_since] that are set *)
   mutable lazy_false : int array;
       (** per-transaction count of consecutive false-alarm lazy probes in
-          the current blocking episode, driving probe backoff *)
-  mutable rollback_counts : int array;
-      (** rollbacks suffered per transaction, driving the starvation
-          guard's victim immunity *)
+          the current blocking episode, driving probe backoff (reset when
+          an episode begins) *)
   mutable last_detect_tick : int;
       (** tick of the last full detection sweep (not targeted probes —
           a probe only proves one reachable slice acyclic, which the
@@ -150,10 +109,7 @@ type t = {
   mutable quiet_passes : int;  (** consecutive empty [Adaptive] sweeps *)
   mutable detection_passes : int;
   mutable watchdog_fires : int;
-  mutable starvation_fallbacks : int;
   mutable missed_passes : int;
-  mutable max_blocked_ticks : int;
-  mutable total_blocked_ticks : int;
   mutable submit_ticks : int array;  (** [-1] when never submitted *)
   mutable commit_ticks : int array;  (** [-1] when uncommitted *)
   mutable ops_committed : int;
@@ -162,55 +118,34 @@ type t = {
     option;
 }
 
-let initial_txn_cap = 64
-
 let create ?(config = default_config) store =
   let t =
   {
     cfg = config;
-    store;
-    locks = Lock_table.create ~fair:config.fair_locking ();
-    wfg = Waits_for.create ();
-    txns = Array.make initial_txn_cap None;
+    k =
+      Kernel.create ~fair:config.fair_locking ~strategy:config.strategy
+        ~policy:config.policy ~starvation_limit:config.starvation_limit
+        ~seed:config.seed ~cycle_limit:config.cycle_limit
+        ~restart_delay:config.restart_delay ~clock:config.clock store;
     events = Pqueue.create ();
-    hist = History.create ();
-    rng = Rng.make config.seed;
-    pool = History_stack.Pool.create ();
-    next_id = 0;
-    tick = 0;
-    commits = 0;
-    deadlocks = 0;
     cycles_broken = 0;
-    rollback_events = 0;
-    requeue_events = 0;
-    overshoot_ops = 0;
     optimal_resolutions = 0;
     timeout_events = 0;
     prevention_events = 0;
     txn_crash_events = 0;
-    crash_counts = Array.make initial_txn_cap 0;
-    wait_dirty = Array.make initial_txn_cap false;
+    crash_counts = [||];
+    wait_dirty = [||];
     dirty_ids = Array.make 16 0;
     n_dirty = 0;
-    check_seconds = 0.0;
-    check_calls = 0;
-    enumerate_seconds = 0.0;
-    enumerate_calls = 0;
-    blocked_since = Array.make initial_txn_cap (-1);
-    n_blocked = 0;
-    lazy_false = Array.make initial_txn_cap 0;
-    rollback_counts = Array.make initial_txn_cap 0;
+    lazy_false = [||];
     last_detect_tick = 0;
     detect_interval = Detection_policy.initial_interval config.detection;
     quiet_passes = 0;
     detection_passes = 0;
     watchdog_fires = 0;
-    starvation_fallbacks = 0;
     missed_passes = 0;
-    max_blocked_ticks = 0;
-    total_blocked_ticks = 0;
-    submit_ticks = Array.make initial_txn_cap (-1);
-    commit_ticks = Array.make initial_txn_cap (-1);
+    submit_ticks = [||];
+    commit_ticks = [||];
     ops_committed = 0;
     deadlock_hook = None;
   }
@@ -242,68 +177,46 @@ let create ?(config = default_config) store =
   t
 
 let config t = t.cfg
-let store t = t.store
-
-(* Ids are allocated densely, so every per-transaction array grows in
-   lockstep the moment a new id would fall off the end. *)
-let ensure_txn_cap t id =
-  let old = Array.length t.txns in
-  if id >= old then begin
-    let cap = max (id + 1) (2 * old) in
-    let grow fill a =
-      let b = Array.make cap fill in
-      Array.blit a 0 b 0 old;
-      b
-    in
-    t.txns <- grow None t.txns;
-    t.crash_counts <- grow 0 t.crash_counts;
-    t.wait_dirty <- grow false t.wait_dirty;
-    t.blocked_since <- grow (-1) t.blocked_since;
-    t.lazy_false <- grow 0 t.lazy_false;
-    t.rollback_counts <- grow 0 t.rollback_counts;
-    t.submit_ticks <- grow (-1) t.submit_ticks;
-    t.commit_ticks <- grow (-1) t.commit_ticks
-  end
+let store t = t.k.Kernel.store
 
 let submit_at ?copy_allocation t ~at program =
-  let at = max at t.tick in
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  ensure_txn_cap t id;
-  let ts =
-    Txn_state.create ?copy_allocation ~pool:t.pool ~strategy:t.cfg.strategy
-      ~id ~store:t.store program
-  in
-  t.txns.(id) <- Some ts;
+  let k = t.k in
+  let at = max at k.tick in
+  let id = Kernel.admit ?copy_allocation k program in
+  t.crash_counts <- Kernel.grow k 0 t.crash_counts;
+  t.wait_dirty <- Kernel.grow k false t.wait_dirty;
+  t.lazy_false <- Kernel.grow k 0 t.lazy_false;
+  t.submit_ticks <- Kernel.grow k (-1) t.submit_ticks;
+  t.commit_ticks <- Kernel.grow k (-1) t.commit_ticks;
   t.submit_ticks.(id) <- at;
-  Waits_for.add_txn t.wfg id;
-  Pqueue.push t.events ~priority:(max (t.tick + 1) at) ~tag:ev_exec ~a:id ~b:0;
+  Pqueue.push t.events ~priority:(max (k.tick + 1) at) ~tag:ev_exec ~a:id ~b:0;
   id
 
 let submit ?copy_allocation t program =
-  submit_at ?copy_allocation t ~at:t.tick program
+  submit_at ?copy_allocation t ~at:t.k.tick program
 
+(* A direct array read: this lookup runs on every step. *)
 let txn_state t id =
-  if id < 0 || id >= t.next_id then raise Not_found
+  if id < 0 || id >= t.k.next_id then raise Not_found
   else
-    match t.txns.(id) with Some ts -> ts | None -> raise Not_found
+    match t.k.txns.(id) with Some ts -> ts | None -> raise Not_found
 
-let all_txns t = List.init t.next_id Fun.id
+let all_txns t = List.init t.k.next_id Fun.id
 
-let now t = t.tick
-let n_committed t = t.commits
-let all_committed t = t.commits = t.next_id
-let waits_for t = t.wfg
-let lock_table t = t.locks
-let history t = t.hist
-let check_seconds t = t.check_seconds
-let check_calls t = t.check_calls
-let enumerate_seconds t = t.enumerate_seconds
-let enumerate_calls t = t.enumerate_calls
-let n_blocked_tracked t = t.n_blocked
+let now t = t.k.tick
+let n_committed t = t.k.commits
+let all_committed t = Kernel.all_committed t.k
+let waits_for t = t.k.wfg
+let lock_table t = t.k.locks
+let history t = t.k.hist
+let check_seconds t = Kernel.check_seconds t.k
+let check_calls t = t.k.check_calls
+let enumerate_seconds t = Kernel.enumerate_seconds t.k
+let enumerate_calls t = t.k.enumerate_calls
+let n_blocked_tracked t = t.k.n_blocked
 
 let schedule t id =
-  Pqueue.push t.events ~priority:(t.tick + 1) ~tag:ev_exec ~a:id ~b:0
+  Pqueue.push t.events ~priority:(t.k.tick + 1) ~tag:ev_exec ~a:id ~b:0
 
 (* Every (re)installation of wait edges goes through here so the dirty
    set stays a sound overapproximation of "out-edges changed since the
@@ -312,7 +225,7 @@ let schedule t id =
 let[@lint.allow
      "A1: amortized dirty-set doubling; steady-state marking writes in \
       place"] set_wait t ~waiter ~holders e =
-  Waits_for.set_wait t.wfg ~waiter ~holders e;
+  Waits_for.set_wait t.k.wfg ~waiter ~holders e;
   if not t.wait_dirty.(waiter) then begin
     t.wait_dirty.(waiter) <- true;
     (if t.n_dirty = Array.length t.dirty_ids then begin
@@ -332,56 +245,23 @@ let[@lint.allow
       re-pointing consumes the waiter/blocker lists the lock-table API \
       returns, and the uncontended path exits at the has_waiters \
       check"] refresh_waiters t e =
-  if Lock_table.has_waiters t.locks e then
+  let locks = t.k.locks in
+  if Lock_table.has_waiters locks e then
     List.iter
       (fun (w, _) ->
-        match Lock_table.blockers t.locks w with
+        match Lock_table.blockers locks w with
         | [] -> () (* about to be granted by the caller's grant pass *)
         | holders -> set_wait t ~waiter:w ~holders e)
-      (Lock_table.waiters t.locks e)
-
-(* A tracked wait ended (grant, rollback, restart, crash): fold its
-   duration into the blocked-time statistics and drop the episode state.
-   Every path that unblocks a transaction funnels through here — including
-   rollback victims, which the stats fold used to lose entirely. *)
-let note_unblocked t id =
-  let since = t.blocked_since.(id) in
-  if since >= 0 then begin
-    let d = t.tick - since in
-    if d > t.max_blocked_ticks then t.max_blocked_ticks <- d;
-    t.total_blocked_ticks <- t.total_blocked_ticks + d;
-    t.blocked_since.(id) <- -1;
-    t.n_blocked <- t.n_blocked - 1;
-    t.lazy_false.(id) <- 0
-  end
-
-let note_rollback t v = t.rollback_counts.(v) <- t.rollback_counts.(v) + 1
-
-(* The starvation guard: a transaction rolled back at least
-   [starvation_limit] times is shielded from victim selection (the
-   resolver falls back to it only when a cycle offers nobody else). *)
-let immune t v =
-  match t.cfg.starvation_limit with
-  | Some k -> t.rollback_counts.(v) >= k
-  | None -> false
+      (Lock_table.waiters locks e)
 
 let process_one_grant t w mode e =
   (Log.debug (fun m ->
-       m "[%d] grant %a(%s) to T%d (from queue)" t.tick Lock_mode.pp mode e
-         w)
+       m "[%d] grant %a(%s) to T%d (from queue)" t.k.tick Lock_mode.pp mode
+         e w)
    [@lint.allow "A1: log msgf closure renders only when a reporter is armed"]);
-  Waits_for.clear_wait t.wfg w;
-  note_unblocked t w;
-  let ts = txn_state t w in
-  History.note_grant t.hist ~tick:t.tick w e mode;
-  Txn_state.lock_granted ts;
+  Kernel.granted t.k w mode e;
+  Txn_state.lock_granted (txn_state t w);
   schedule t w
-
-let rec process_grants t = function
-  | [] -> ()
-  | (w, mode, e) :: rest ->
-      process_one_grant t w mode e;
-      process_grants t rest
 
 (* [Lock_table.release]/[cancel_wait] report (waiter, mode) pairs for one
    known entity: processing them directly keeps the steady release path
@@ -395,209 +275,45 @@ let rec process_grants_on t e = function
 (* Release one lock of [id] on [e] and propagate: grants wake waiters,
    survivors re-point their edges. *)
 let release_lock t id e =
-  process_grants_on t e (Lock_table.release t.locks id e);
+  process_grants_on t e (Lock_table.release t.k.locks id e);
   refresh_waiters t e
 
 (* --- Deadlock resolution ------------------------------------------- *)
 
-(* Cycles through the requester, converted to the resolver's (member,
-   entity-to-release) form. A waits-for cycle [r; v1; ...; vk] has edges
-   r->v1 (r waits for v1 on e1) ... vk->r; deleting the arc into a member
-   means that member releases the entity labelling the arc. *)
-let[@lint.allow
-     "A1: enumerates and relabels the cycles through the requester — the \
-      resolver's input, allocated only when resolution actually \
-      runs"] resolver_cycles ?limit t requester =
-  let limit =
-    match limit with Some l -> min l t.cfg.cycle_limit | None -> t.cfg.cycle_limit
-  in
-  t.enumerate_calls <- t.enumerate_calls + 1;
-  let raw =
-    match t.cfg.clock with
-    | None -> Waits_for.cycles_through ~limit t.wfg requester
-    | Some clk ->
-        let t0 = clk () in
-        let r = Waits_for.cycles_through ~limit t.wfg requester in
-        t.enumerate_seconds <- t.enumerate_seconds +. (clk () -. t0);
-        r
-  in
-  let label u v =
-    match Waits_for.wait_label t.wfg u v with
-    | Some e -> e
-    | None -> raise (Stuck "waits-for edge vanished during resolution")
-  in
-  List.map
-    (fun cycle ->
-      let rec arcs = function
-        | [] -> []
-        | [ last ] -> [ (requester, label last requester) ]
-        | u :: (v :: _ as rest) -> (v, label u v) :: arcs rest
-      in
-      arcs cycle)
-    raw
-
-(* An arc into a cycle member is labelled with the entity whose
-   availability the predecessor awaits. The member breaks the arc either
-   by rolling back far enough to release the entity (it holds it), or —
-   under fair queueing, where waits-for edges also point at conflicting
-   requests queued ahead — by cancelling its own pending request for that
-   entity and requeueing at the tail. *)
-let split_arcs ts entities =
-  List.partition (fun e -> Txn_state.holds ts e <> None) entities
-
-let release_cost t v entities =
-  let ts = txn_state t v in
-  let held, queued = split_arcs ts entities in
-  let rollback_part =
-    match held with
-    | [] -> 0
-    | es ->
-        let target =
-          List.fold_left
-            (fun acc e -> min acc (Txn_state.rollback_target ts e))
-            max_int es
-        in
-        Txn_state.cost_of_target ts target
-  in
-  (* Requeueing loses no progress but is not free: charge one op so the
-     optimiser does not see it as a universally-winning move. *)
-  rollback_part + if queued = [] then 0 else 1
-
-let cancel_pending_request t v =
-  match Lock_table.cancel_wait t.locks v with
+(* A victim abandons its pending request; shrinking its queue may unblock
+   waiters behind it, and survivors re-point their edges. *)
+let abandon_wait t v =
+  (match Lock_table.cancel_wait t.k.locks v with
   | Some (e, grants) ->
       process_grants_on t e grants;
       refresh_waiters t e
-  | None -> ()
+  | None -> ());
+  Kernel.unblock t.k v
+
+module Rollback = Kernel.Rollback (struct
+  type nonrec engine = t
+
+  let kernel t = t.k
+  let abandon_wait = abandon_wait
+
+  let release t v ~restart:_ released =
+    List.iter
+      (fun e ->
+        History.discard t.k.hist v e;
+        release_lock t v e)
+      released
+
+  let resume t v ~at = Pqueue.push t.events ~priority:at ~tag:ev_exec ~a:v ~b:0
+end)
 
 (* Self-restart: the transaction abandons its pending request, rolls back
    to state 0 releasing everything, and starts over (keeping its id, which
-   is its timestamp). The prevention/timeout baselines use it directly;
-   deferred deadlock resolution uses it (with a re-admission delay) to
-   escalate repeat victims. *)
+   is its timestamp). The prevention/timeout baselines use it. *)
 let[@lint.allow
      "A1: a restart abandons the pending request and rolls the victim \
       back to state 0 — restart machinery allocates by design, off the \
-      grant fast path"] self_restart ?(extra_delay = 0) t id =
-  let ts = txn_state t id in
-  cancel_pending_request t id;
-  Waits_for.clear_wait t.wfg id;
-  note_unblocked t id;
-  let released = Txn_state.rollback_to ts Txn_state.restart_target in
-  t.rollback_events <- t.rollback_events + 1;
-  note_rollback t id;
-  List.iter
-    (fun e ->
-      History.discard t.hist id e;
-      release_lock t id e)
-    released;
-  Pqueue.push t.events
-    ~priority:(t.tick + 1 + t.cfg.restart_delay + extra_delay)
-    ~tag:ev_exec ~a:id ~b:0
-
-(* How many rollbacks a transaction may suffer before a deferred round
-   stops rolling it back partially and escalates to a delayed full
-   restart. Deferred resolution restarts its victims into the same
-   deterministic workload that just deadlocked them; without escalation
-   the hot-set regulars re-collide forever (a limit cycle — Figure 2's
-   pathology resurrected by batching), and a partial-rollback victim
-   cannot simply be parked with a long backoff because it keeps holding
-   its remaining locks, turning the backoff into a convoy. The full
-   restart releases everything, so the quadratic re-admission delay
-   below desynchronises the herd without stalling anyone behind it. *)
-let deferred_escalation = 4
-
-let apply_partial_rollback t ~deferred ~stagger v entities =
-  let ts = txn_state t v in
-  let held, _queued = split_arcs ts entities in
-  (* A blocked victim abandons its pending request; shrinking its queue
-     may unblock waiters behind it, and survivors re-point their edges.
-     When every arc is a queue arc this cancel-and-retry (the transaction
-     re-issues the request and lands at the queue tail) is the whole
-     remedy. *)
-  cancel_pending_request t v;
-  Waits_for.clear_wait t.wfg v;
-  note_unblocked t v;
-  (match held with
-  | [] -> t.requeue_events <- t.requeue_events + 1
-  | es ->
-      let target =
-        List.fold_left
-          (fun acc e -> min acc (Txn_state.rollback_target ts e))
-          (Txn_state.lock_index ts)
-          es
-      in
-      (* Overshoot: progress destroyed beyond the minimal release point —
-         zero under MCS, the whole prefix under Total, the price of
-         non-well-defined states under SDG. *)
-      let minimal =
-        List.fold_left
-          (fun acc e ->
-            match Txn_state.lock_state_of ts e with
-            | Some k -> min acc k
-            | None -> acc)
-          (Txn_state.lock_index ts) es
-      in
-      t.overshoot_ops <-
-        t.overshoot_ops
-        + Txn_state.cost_of_target ts target
-        - Txn_state.cost_of_target ts minimal;
-      Log.info (fun m ->
-          m "[%d] partial rollback of T%d to %s (releasing %s)" t.tick v
-            (if target = Txn_state.restart_target then "restart"
-             else Printf.sprintf "lock state %d" target)
-            (String.concat "," es));
-      let released = Txn_state.rollback_to ts target in
-      t.rollback_events <- t.rollback_events + 1;
-      note_rollback t v;
-      List.iter
-        (fun e ->
-          History.discard t.hist v e;
-          release_lock t v e)
-        released);
-  (* A deferred pass can roll back many victims in one round; restarted in
-     lockstep at [t+1] they re-request the same hot entities in the same
-     order and the next pass faces the same cycles. Stagger the herd by
-     victim position and back off early repeat victims quadratically —
-     deterministic, and zero in eager rounds, whose replay output must
-     stay byte-identical. (Victims past [deferred_escalation] never reach
-     this push; {!apply_rollback} escalates them to a delayed full
-     restart, so the backoff here stays too short to convoy waiters
-     behind a still-held lock.) *)
-  let backoff =
-    if not deferred then 0
-    else
-      let n = t.rollback_counts.(v) in
-      stagger + (n * n)
-  in
-  Pqueue.push t.events
-    ~priority:(t.tick + 1 + t.cfg.restart_delay + backoff)
-    ~tag:ev_exec ~a:v ~b:0
-
-let apply_rollback ?(deferred = false) ?(stagger = 0) t v entities =
-  let prior = t.rollback_counts.(v) in
-  if deferred && prior >= deferred_escalation then
-    self_restart t v ~extra_delay:(stagger + min 4096 (prior * prior))
-  else apply_partial_rollback t ~deferred ~stagger v entities
-
-(* Victim policy for one resolution round. An eager round sees only
-   cycles a single request just closed, where the configured policy's
-   trade-offs were calibrated; a deferred pass (sweep or probe) can face
-   several cycles that accreted between passes — exactly the multi-cycle
-   regime Section 3.2's minimum-cost vertex cut was built for — so the
-   iterative single-victim policies are routed through the cut solver
-   ([Ordered_min_cost], keeping Theorem 2's preemption order). Policies
-   that already are cuts run unchanged. *)
-let resolution_policy t ~deferred cycles =
-  if
-    deferred
-    && (match cycles with _ :: _ :: _ -> true | [] | [ _ ] -> false)
-    &&
-    match t.cfg.policy with
-    | Policy.Min_cost | Policy.Ordered_min_cost -> false
-    | Policy.Requester | Policy.Youngest | Policy.Random_victim -> true
-  then Policy.Ordered_min_cost
-  else t.cfg.policy
+      grant fast path"] self_restart t id =
+  Rollback.restart t id ~at:(t.k.tick + 1 + t.cfg.restart_delay)
 
 (* A deferred round's cycle-enumeration budget. The eager path enumerates
    up to [cycle_limit] cycles through the requester because its victim
@@ -608,7 +324,7 @@ let resolution_policy t ~deferred cycles =
    accretes, DFS cycle enumeration is the dominant detection cost, and
    this budget is where the deferred policies' wall-clock win over eager
    detection comes from. (Sampling is only safe together with the
-   escalation below: small cuts roll back fewer victims per round, and
+   kernel's escalation: small cuts roll back fewer victims per round, and
    without escalation the survivors re-collide indefinitely.) *)
 let deferred_cycle_budget = 8
 
@@ -618,27 +334,16 @@ let[@lint.allow
       the victims' rollbacks; it runs only on a detected \
       deadlock"] resolve_round t ~deferred requester cycles =
   Log.info (fun m ->
-      m "[%d] deadlock: %d cycle(s) through T%d" t.tick (List.length cycles)
+      m "[%d] deadlock: %d cycle(s) through T%d" t.k.tick (List.length cycles)
         requester);
-  t.deadlocks <- t.deadlocks + 1;
   t.cycles_broken <- t.cycles_broken + List.length cycles;
-  let decision =
-    Resolver.choose ~immune:(immune t)
-      ~policy:(resolution_policy t ~deferred cycles)
-      ~requester
-      ~entry_order:(fun v -> Txn_state.entry_order (txn_state t v))
-      ~release_cost:(release_cost t) ~rng:t.rng cycles
-  in
+  let decision = Kernel.choose t.k ~deferred requester cycles in
   if decision.Resolver.optimal then
     t.optimal_resolutions <- t.optimal_resolutions + 1;
-  if decision.Resolver.starved_fallback then
-    t.starvation_fallbacks <- t.starvation_fallbacks + 1;
   (match t.deadlock_hook with
   | Some hook -> hook ~requester ~cycles ~decision
   | None -> ());
-  List.iteri
-    (fun i (v, entities) -> apply_rollback ~deferred ~stagger:i t v entities)
-    decision.Resolver.victims
+  Rollback.apply_victims t ~deferred decision
 
 (* Resolve until no blocked transaction lies on a cycle. New requests can
    only close cycles through the requester, but a resolution round's side
@@ -692,7 +397,7 @@ let[@lint.allow
   else
     let id = t.dirty_ids.(i) in
     rd_seeds t (i - 1)
-      (if Waits_for.is_blocked t.wfg id then id :: acc else acc)
+      (if Waits_for.is_blocked t.k.wfg id then id :: acc else acc)
 
 (* One cycle-handling step of the fixpoint: victim selection over the
    cycles through the first candidate that yields any within budget.
@@ -711,9 +416,9 @@ let[@lint.allow
     List.find_map
       (fun b ->
         match
-          resolver_cycles
+          Kernel.cycles
             ?limit:(if deferred then Some deferred_cycle_budget else None)
-            t b
+            t.k b
         with
         | [] -> None
         | cycles -> Some (b, cycles))
@@ -729,30 +434,16 @@ let[@lint.allow
       resolve_round t ~deferred requester cycles;
       true
 
-(* The cycle-membership census is the "check" half of the detection
-   accounting — the boolean question "is anyone deadlocked?" — as opposed
-   to the cycle enumeration the resolver consumes, which bills to the
-   enumerate counters inside [resolver_cycles]. *)
-let[@lint.allow
-     "A1: check wall-clock accounting boxes floats only when a clock is \
-      configured; the census list is the detector's report"] checked_on_cycle
-    t seeds =
-  t.check_calls <- t.check_calls + 1;
-  match t.cfg.clock with
-  | None -> Waits_for.on_cycle_from t.wfg seeds
-  | Some clk ->
-      let t0 = clk () in
-      let r = Waits_for.on_cycle_from t.wfg seeds in
-      t.check_seconds <- t.check_seconds +. (clk () -. t0);
-      r
-
 let rec rd_fixpoint t ~deferred primary round =
   if round > 1000 then raise (Stuck "deadlock resolution did not converge");
   rd_sort_dirty t;
   match rd_seeds t (t.n_dirty - 1) [] with
   | [] -> rd_converged t
   | seeds -> (
-      match checked_on_cycle t seeds with
+      match
+        (Kernel.on_cycle_from t.k seeds
+         [@lint.allow "A1: the census list is the detector's report"])
+      with
       | [] -> rd_converged t
       | on_cycle ->
           if rd_round t ~deferred primary on_cycle then
@@ -773,14 +464,14 @@ let resolve_probe t id =
   while !continue_ do
     incr round;
     if !round > 1000 then raise (Stuck "probe resolution did not converge");
-    match checked_on_cycle t [ id ] with
+    match Kernel.on_cycle_from t.k [ id ] with
     | [] -> continue_ := false
     | on_cycle -> (
         let requester =
           if List.exists (Txn_id.equal id) on_cycle then id
           else List.fold_left min (List.hd on_cycle) on_cycle
         in
-        match resolver_cycles ~limit:deferred_cycle_budget t requester with
+        match Kernel.cycles ~limit:deferred_cycle_budget t.k requester with
         | [] ->
             (* enumeration budget exhausted; leave it to the watchdog's
                full sweep rather than spinning here *)
@@ -799,10 +490,10 @@ let[@lint.allow
      "A1: a full detection sweep is scheduled work off the request \
       path"] run_sweep t =
   t.detection_passes <- t.detection_passes + 1;
-  let before = t.deadlocks in
+  let before = t.k.deadlocks in
   resolve_deadlocks t ~deferred:true None;
-  t.last_detect_tick <- t.tick;
-  t.deadlocks > before
+  t.last_detect_tick <- t.k.tick;
+  t.k.deadlocks > before
 
 (* Detector outages model the asynchronous detector service being down:
    scheduled passes and probes are suppressed (counted as missed) while
@@ -811,7 +502,7 @@ let[@lint.allow
    has no separate detector process) — so it is unaffected. *)
 let in_detector_outage t =
   match t.cfg.faults with
-  | Some p -> Fault.in_outage p t.tick
+  | Some p -> Fault.in_outage p t.k.tick
   | None -> false
 
 (* First tick at or after now that lies outside every outage window. *)
@@ -820,14 +511,14 @@ let[@lint.allow
       outage window — fault-plan bookkeeping, not steady-state \
       work"] outage_end t =
   match t.cfg.faults with
-  | None -> t.tick
+  | None -> t.k.tick
   | Some p ->
       List.fold_left
         (fun acc (o : Fault.outage) ->
           if o.Fault.out_from <= acc && acc < o.Fault.out_until then
             o.Fault.out_until
           else acc)
-        t.tick
+        t.k.tick
         (List.sort
            (fun (a : Fault.outage) b ->
              Int.compare a.Fault.out_from b.Fault.out_from)
@@ -849,8 +540,9 @@ let[@lint.allow
         && Txn_state.phase (txn_state t b) = Txn_state.Growing
       then begin
         t.prevention_events <- t.prevention_events + 1;
-        Log.info (fun m -> m "[%d] T%d wounds T%d over %s" t.tick requester b e);
-        apply_rollback t b [ e ]
+        Log.info (fun m ->
+            m "[%d] T%d wounds T%d over %s" t.k.tick requester b e);
+        Rollback.apply_rollback t b [ e ]
       end)
     blockers
 
@@ -876,7 +568,7 @@ let[@lint.allow
       let n = 1 + t.crash_counts.(id) in
       t.crash_counts.(id) <- n;
       t.txn_crash_events <- t.txn_crash_events + 1;
-      Log.info (fun m -> m "[%d] T%d crashed (crash #%d)" t.tick id n);
+      Log.info (fun m -> m "[%d] T%d crashed (crash #%d)" t.k.tick id n);
       let to_ =
         match t.cfg.faults with
         | Some p -> p.Fault.timeouts
@@ -885,19 +577,7 @@ let[@lint.allow
       let delay =
         to_.Fault.readmit_delay * (1 lsl min (n - 1) to_.Fault.backoff_cap)
       in
-      let ts = txn_state t id in
-      cancel_pending_request t id;
-      Waits_for.clear_wait t.wfg id;
-      note_unblocked t id;
-      let released = Txn_state.rollback_to ts Txn_state.restart_target in
-      t.rollback_events <- t.rollback_events + 1;
-      note_rollback t id;
-      List.iter
-        (fun e ->
-          History.discard t.hist id e;
-          release_lock t id e)
-        released;
-      Pqueue.push t.events ~priority:(t.tick + 1 + delay) ~tag:ev_exec ~a:id ~b:0
+      Rollback.restart t id ~at:(t.k.tick + 1 + delay)
 
 (* --- Executing one transaction step -------------------------------- *)
 
@@ -908,10 +588,11 @@ let rec any_blocker_older (id : int) = function
   | b :: rest -> b < id || any_blocker_older id rest
 
 let handle_lock_request t id mode e =
+  let k = t.k in
   let ts = txn_state t id in
-  match Lock_table.request t.locks id mode e with
+  match Lock_table.request k.locks id mode e with
   | Lock_table.Granted ->
-      History.note_grant t.hist ~tick:t.tick id e mode;
+      History.note_grant k.hist ~tick:k.tick id e mode;
       Txn_state.lock_granted ts;
       (* A direct grant can change the holder set under queued waiters
          (a shared request joining shared holders past a queued exclusive
@@ -921,7 +602,7 @@ let handle_lock_request t id mode e =
       schedule t id
   | Lock_table.Blocked holders -> (
       (Log.debug (fun m ->
-           m "[%d] T%d blocked on %a(%s) behind %s" t.tick id Lock_mode.pp
+           m "[%d] T%d blocked on %a(%s) behind %s" k.tick id Lock_mode.pp
              mode e
              (String.concat "," (List.map (Printf.sprintf "T%d") holders)))
        [@lint.allow
@@ -930,8 +611,10 @@ let handle_lock_request t id mode e =
       (* Every block is tracked, whatever the intervention: the duration
          feeds the blocked-time statistics, the lazy probes and the stall
          watchdog; [Timeout_abort] timers read it as before. *)
-      if t.blocked_since.(id) < 0 then t.n_blocked <- t.n_blocked + 1;
-      t.blocked_since.(id) <- t.tick;
+      if k.blocked_since.(id) < 0 then
+        (* a new episode: no lazy probe has missed yet *)
+        t.lazy_false.(id) <- 0;
+      Kernel.note_blocked k id;
       match t.cfg.intervention with
       | Detect -> (
           match t.cfg.detection with
@@ -941,22 +624,7 @@ let handle_lock_request t id mode e =
                  Only the boolean probe itself is a "check" — resolution
                  bills its enumeration to the enumerate counters and its
                  rollback work to nobody. *)
-              t.check_calls <- t.check_calls + 1;
-              let deadlock =
-                (match t.cfg.clock with
-                | None -> Waits_for.would_deadlock t.wfg ~waiter:id ~holders
-                | Some clk ->
-                    let t0 = clk () in
-                    let r =
-                      Waits_for.would_deadlock t.wfg ~waiter:id ~holders
-                    in
-                    t.check_seconds <- t.check_seconds +. (clk () -. t0);
-                    r)
-                [@lint.allow
-                  "A1: check wall-clock accounting boxes floats only \
-                   when a clock is configured"]
-              in
-              if deadlock then
+              if Kernel.would_deadlock k ~waiter:id ~holders then
                 (resolve_deadlocks t ~deferred:false (Some id)
                  [@lint.allow
                    "A1: a detected deadlock hands the requester to \
@@ -966,16 +634,16 @@ let handle_lock_request t id mode e =
               ()
           | Detection_policy.Lazy_on_timeout { blocked_ticks; _ } ->
               Pqueue.push t.events
-                ~priority:(t.tick + blocked_ticks)
-                ~tag:ev_probe ~a:id ~b:t.tick)
+                ~priority:(k.tick + blocked_ticks)
+                ~tag:ev_probe ~a:id ~b:k.tick)
       | Timeout_abort n ->
-          Pqueue.push t.events ~priority:(t.tick + n) ~tag:ev_timer ~a:id ~b:0
+          Pqueue.push t.events ~priority:(k.tick + n) ~tag:ev_timer ~a:id ~b:0
       | Wound_wait_c -> wound_younger_blockers t id e holders
       | Wait_die_c ->
           if any_blocker_older id holders then begin
             (* younger than a blocker: die, keeping the timestamp *)
             t.prevention_events <- t.prevention_events + 1;
-            (Log.info (fun m -> m "[%d] T%d dies over %s" t.tick id e)
+            (Log.info (fun m -> m "[%d] T%d dies over %s" k.tick id e)
              [@lint.allow
                "A1: log msgf closure renders only when a reporter is \
                 armed"]);
@@ -983,54 +651,32 @@ let handle_lock_request t id mode e =
           end)
 
 let handle_unlock t id =
-  let ts = txn_state t id in
-  let e, final = Txn_state.perform_unlock ts in
-  (match final with Some v -> Store.install t.store e v | None -> ());
-  History.note_release t.hist ~tick:t.tick id e;
-  release_lock t id e;
+  release_lock t id (Kernel.unlock t.k id);
   schedule t id
 
 let[@lint.allow
      "A1: commit retires the transaction — final installs, release-all \
       regrants, history certification and pool returns run once per \
       transaction, off the per-operation path"] handle_commit t id =
-  let ts = txn_state t id in
-  let finals = Txn_state.commit ts in
-  List.iter (fun (e, v) -> Store.install t.store e v) finals;
-  let held = Lock_table.held_by t.locks id in
+  let k = t.k in
+  let held = Kernel.commit k id in
   List.iter
-    (fun (e, _) -> History.note_release t.hist ~tick:t.tick id e)
-    held;
-  let grants = Lock_table.release_all t.locks id in
-  process_grants t grants;
+    (fun (w, mode, e) -> process_one_grant t w mode e)
+    (Lock_table.release_all k.locks id);
   (* Every entity whose holder set changed needs its waiters re-pointed. *)
   List.iter (fun (e, _) -> refresh_waiters t e) held;
-  Waits_for.remove_txn t.wfg id;
-  History.commit_txn t.hist id;
-  (* A committer was never blocked at this point, but a stale
-     [blocked_since] entry may still linger (set on a block, cleared on
-     grant paths only) — drop it without folding it into the duration
-     stats (the wait it describes ended long ago). *)
-  if t.blocked_since.(id) >= 0 then begin
-    t.blocked_since.(id) <- -1;
-    t.n_blocked <- t.n_blocked - 1
-  end;
-  t.lazy_false.(id) <- 0;
-  Log.debug (fun m -> m "[%d] T%d committed" t.tick id);
-  t.commit_ticks.(id) <- t.tick;
-  t.commits <- t.commits + 1;
-  t.ops_committed <- t.ops_committed + Program.length (Txn_state.program ts);
-  (* The transaction is retired: its remaining history buffers go back to
-     the pool for the next admission. The accounting the stats fold reads
-     (ops lost/executed, peak copies, rollbacks) survives disposal. *)
-  Txn_state.dispose ts
+  Kernel.retire k id;
+  Log.debug (fun m -> m "[%d] T%d committed" k.tick id);
+  t.commit_ticks.(id) <- k.tick;
+  t.ops_committed <-
+    t.ops_committed + Program.length (Txn_state.program (txn_state t id))
 
 let exec_one t id =
   let ts = txn_state t id in
   match Txn_state.phase ts with
   | Txn_state.Committed -> ()
   | Txn_state.Growing | Txn_state.Shrinking -> (
-      if Waits_for.is_blocked t.wfg id then
+      if Waits_for.is_blocked t.k.wfg id then
         (* Stale wakeup for a transaction that re-blocked; it will be
            rescheduled on grant. *)
         ()
@@ -1051,11 +697,11 @@ let handle_timer t id =
     | Timeout_abort n -> n
     | Detect | Wound_wait_c | Wait_die_c -> max_int
   in
-  let since = t.blocked_since.(id) in
-  if since >= 0 && Waits_for.is_blocked t.wfg id then
-    if since + n <= t.tick then begin
+  let since = t.k.blocked_since.(id) in
+  if since >= 0 && Waits_for.is_blocked t.k.wfg id then
+    if since + n <= t.k.tick then begin
       t.timeout_events <- t.timeout_events + 1;
-      (Log.info (fun m -> m "[%d] T%d timed out; restarting" t.tick id)
+      (Log.info (fun m -> m "[%d] T%d timed out; restarting" t.k.tick id)
        [@lint.allow
          "A1: log msgf closure renders only when a reporter is armed"]);
       self_restart t id
@@ -1073,28 +719,19 @@ let[@lint.allow
   | Detection_policy.Periodic n ->
       if in_detector_outage t then t.missed_passes <- t.missed_passes + 1
       else ignore (run_sweep t);
-      Pqueue.push t.events ~priority:(t.tick + n) ~tag:ev_detect_tick ~a:0 ~b:0
+      Pqueue.push t.events ~priority:(t.k.tick + n) ~tag:ev_detect_tick ~a:0
+        ~b:0
   | Detection_policy.Adaptive ->
       (if in_detector_outage t then t.missed_passes <- t.missed_passes + 1
-       else begin
+       else
          let found = run_sweep t in
-         if found then begin
-           (* deadlocks are arriving: halve the interval *)
-           t.detect_interval <-
-             max Detection_policy.adaptive_min (t.detect_interval / 2);
-           t.quiet_passes <- 0
-         end
-         else begin
-           t.quiet_passes <- t.quiet_passes + 1;
-           if t.quiet_passes >= 2 then begin
-             (* two consecutive empty sweeps: back off *)
-             t.detect_interval <-
-               min Detection_policy.adaptive_max (t.detect_interval * 2);
-             t.quiet_passes <- 0
-           end
-         end
-       end);
-      Pqueue.push t.events ~priority:(t.tick + t.detect_interval)
+         let interval, quiet =
+           Detection_policy.adapt ~found ~interval:t.detect_interval
+             ~quiet:t.quiet_passes
+         in
+         t.detect_interval <- interval;
+         t.quiet_passes <- quiet);
+      Pqueue.push t.events ~priority:(t.k.tick + t.detect_interval)
         ~tag:ev_detect_tick ~a:0 ~b:0
   | Detection_policy.Eager | Detection_policy.Lazy_on_timeout _ -> ()
 
@@ -1104,8 +741,9 @@ let[@lint.allow
       the request path"] handle_probe t id armed =
   match t.cfg.detection with
   | Detection_policy.Lazy_on_timeout { blocked_ticks; backoff } ->
-      let since = t.blocked_since.(id) in
-      if since >= 0 && since = armed && Waits_for.is_blocked t.wfg id then
+      let k = t.k in
+      let since = k.blocked_since.(id) in
+      if since >= 0 && since = armed && Waits_for.is_blocked k.wfg id then
         if in_detector_outage t then begin
           (* detector down: the probe is lost; re-arm past the outage
              (the watchdog, re-armed at the outage end itself, checks
@@ -1123,10 +761,10 @@ let[@lint.allow
             (* resolution may have left [id] blocked (it survived as a
                non-victim): watch the still-running wait with a fresh
                timer *)
-            let since' = t.blocked_since.(id) in
-            if since' >= 0 && Waits_for.is_blocked t.wfg id then
+            let since' = k.blocked_since.(id) in
+            if since' >= 0 && Waits_for.is_blocked k.wfg id then
               Pqueue.push t.events
-                ~priority:(t.tick + blocked_ticks)
+                ~priority:(k.tick + blocked_ticks)
                 ~tag:ev_probe ~a:id ~b:since'
           end
           else begin
@@ -1135,7 +773,7 @@ let[@lint.allow
             let n = t.lazy_false.(id) in
             t.lazy_false.(id) <- n + 1;
             Pqueue.push t.events
-              ~priority:(t.tick + (blocked_ticks * (1 lsl min n backoff)))
+              ~priority:(k.tick + (blocked_ticks * (1 lsl min n backoff)))
               ~tag:ev_probe ~a:id ~b:armed
           end
         end
@@ -1151,12 +789,13 @@ let[@lint.allow
    transaction — the short-circuit the sorted fold had. Top-level and
    int-annotated so the per-arm watchdog check allocates nothing. *)
 let rec watchdog_scan t bound (id : int) =
-  id < t.next_id
-  && ((let since = t.blocked_since.(id) in
+  let k = t.k in
+  id < k.next_id
+  && ((let since = k.blocked_since.(id) in
        since >= 0
-       && t.tick - since >= bound
+       && k.tick - since >= bound
        && t.last_detect_tick <= since
-       && Waits_for.is_blocked t.wfg id)
+       && Waits_for.is_blocked k.wfg id)
      || watchdog_scan t bound (id + 1))
 
 let handle_watchdog t =
@@ -1173,13 +812,13 @@ let handle_watchdog t =
     if watchdog_scan t bound 0 then begin
       t.watchdog_fires <- t.watchdog_fires + 1;
       (Log.info (fun m ->
-           m "[%d] stall watchdog: forcing a full sweep" t.tick)
+           m "[%d] stall watchdog: forcing a full sweep" t.k.tick)
        [@lint.allow
          "A1: log msgf closure renders only when a reporter is armed"]);
       ignore (run_sweep t)
     end;
     Pqueue.push t.events
-      ~priority:(t.tick + max (bound / 2) 1)
+      ~priority:(t.k.tick + max (bound / 2) 1)
       ~tag:ev_watchdog ~a:0 ~b:0
   end
 
@@ -1195,7 +834,7 @@ let[@hot] step t =
     let tick = Pqueue.cur_prio t.events in
     if tick > t.cfg.max_ticks then false
     else begin
-      t.tick <- max t.tick tick;
+      t.k.tick <- max t.k.tick tick;
       let tag = Pqueue.cur_tag t.events in
       let a = Pqueue.cur_a t.events in
       let b = Pqueue.cur_b t.events in
@@ -1243,12 +882,12 @@ type stats = {
 let set_deadlock_hook t hook = t.deadlock_hook <- Some hook
 
 let submit_tick t id =
-  if id >= 0 && id < t.next_id && t.submit_ticks.(id) >= 0 then
+  if id >= 0 && id < t.k.next_id && t.submit_ticks.(id) >= 0 then
     Some t.submit_ticks.(id)
   else None
 
 let commit_tick t id =
-  if id >= 0 && id < t.next_id && t.commit_ticks.(id) >= 0 then
+  if id >= 0 && id < t.k.next_id && t.commit_ticks.(id) >= 0 then
     Some t.commit_ticks.(id)
   else None
 
@@ -1258,49 +897,32 @@ let latency t id =
   | _ -> None
 
 let stats t =
-  (* One ascending pass accumulating all three per-transaction
-     aggregates. *)
-  let ops_lost = ref 0 and ops_executed = ref 0 and peak_copies = ref 0 in
-  for id = 0 to t.next_id - 1 do
-    match t.txns.(id) with
-    | Some ts ->
-        ops_lost := !ops_lost + Txn_state.ops_lost ts;
-        ops_executed := !ops_executed + Txn_state.total_executed ts;
-        peak_copies := max !peak_copies (Txn_state.peak_copies ts)
-    | None -> ()
-  done;
-  let ops_lost = !ops_lost
-  and ops_executed = !ops_executed
-  and peak_copies = !peak_copies in
+  let k = t.k in
+  let totals = Kernel.totals k in
   {
-    ticks = t.tick;
-    commits = t.commits;
-    deadlocks = t.deadlocks;
+    ticks = k.tick;
+    commits = k.commits;
+    deadlocks = k.deadlocks;
     cycles_broken = t.cycles_broken;
-    rollbacks = t.rollback_events;
-    requeues = t.requeue_events;
-    overshoot_ops = t.overshoot_ops;
-    ops_lost;
+    rollbacks = k.rollbacks;
+    requeues = k.requeues;
+    overshoot_ops = k.overshoot_ops;
+    ops_lost = totals.Kernel.ops_lost;
     ops_committed = t.ops_committed;
-    ops_executed;
-    blocks = Lock_table.n_blocks t.locks;
-    peak_copies;
+    ops_executed = totals.Kernel.ops_executed;
+    blocks = Lock_table.n_blocks k.locks;
+    peak_copies = totals.Kernel.peak_copies;
     optimal_resolutions = t.optimal_resolutions;
     timeouts = t.timeout_events;
     preventions = t.prevention_events;
     txn_crashes = t.txn_crash_events;
     detection_passes = t.detection_passes;
     watchdog_fires = t.watchdog_fires;
-    starvation_fallbacks = t.starvation_fallbacks;
+    starvation_fallbacks = k.starvation_fallbacks;
     missed_passes = t.missed_passes;
-    max_blocked_ticks = t.max_blocked_ticks;
-    total_blocked_ticks = t.total_blocked_ticks;
-    max_txn_rollbacks =
-      (let m = ref 0 in
-       for id = 0 to t.next_id - 1 do
-         if t.rollback_counts.(id) > !m then m := t.rollback_counts.(id)
-       done;
-       !m);
+    max_blocked_ticks = k.max_blocked_ticks;
+    total_blocked_ticks = k.total_blocked_ticks;
+    max_txn_rollbacks = totals.Kernel.max_txn_rollbacks;
   }
 
 let pp_stats ppf s =
