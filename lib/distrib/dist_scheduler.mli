@@ -105,10 +105,12 @@ val default_config : config
     cost-optimising policies then re-victimise the same cheap transaction
     every round (Figure 2's pathology resurrected by staleness; measured
     in E10b). Age-based selection converges, which is why the distributed
-    literature the paper cites uses timestamps. (Deferred rounds facing
-    more than one cycle are nonetheless routed through the Section 3.2
-    vertex cut as [Ordered_min_cost] — with the starvation guard
-    available to bound any re-victimisation.) *)
+    literature the paper cites uses timestamps. (Under a deferred
+    detection policy every round facing more than one cycle — global
+    rounds and site-local block-time rounds alike — is nonetheless routed
+    through the Section 3.2 vertex cut as [Ordered_min_cost], with the
+    starvation guard available to bound any re-victimisation; the
+    deferred backoff and escalation apply to the global rounds only.) *)
 
 type t
 
