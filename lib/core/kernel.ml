@@ -20,7 +20,7 @@ type t = {
   policy : Policy.t;
   starvation_limit : int option;
   cycle_limit : int;
-  restart_delay : int;
+  deferred : bool;
   clock : (unit -> float) option;
   store : Store.t;
   locks : Lock_table.t;
@@ -50,13 +50,13 @@ type t = {
 let initial_txn_cap = 64
 
 let create ~fair ~strategy ~policy ~starvation_limit ~seed ~cycle_limit
-    ~restart_delay ~clock store =
+    ~deferred ~clock store =
   {
     strategy;
     policy;
     starvation_limit;
     cycle_limit;
-    restart_delay;
+    deferred;
     clock;
     store;
     locks = Lock_table.create ~fair ();
@@ -221,13 +221,28 @@ let on_cycle_from k seeds =
 let on_site_cycle k ~site_of id =
   checked k (fun () -> Waits_for.on_site_cycle k.wfg ~site_of id)
 
+(* A deferred round's cycle-enumeration budget. The eager path enumerates
+   up to [cycle_limit] cycles through the requester because its victim
+   choices are part of the replayable contract. A deferred round — sweep
+   fixpoint, targeted probe, site-local or global round — re-examines the
+   graph after every cut, so it can feed the Section 3.2 cut solver a
+   small sample per round and let iteration make up the difference. On
+   the dense graphs deferral accretes, DFS cycle enumeration is the
+   dominant detection cost, and this budget is where the deferred
+   policies' wall-clock win over eager detection comes from. (Sampling is
+   only safe together with escalation: small cuts roll back fewer victims
+   per round, and without escalation the survivors re-collide
+   indefinitely.) *)
+let deferred_cycle_budget = 8
+
 (* Cycles through the requester, converted to the resolver's (member,
    entity-to-release) form. A waits-for cycle [r; v1; ...; vk] has edges
    r->v1 (r waits for v1 on e1) ... vk->r; deleting the arc into a member
    means that member releases the entity labelling the arc. *)
-let cycles ?limit k requester =
+let cycles k requester =
   let limit =
-    match limit with Some l -> min l k.cycle_limit | None -> k.cycle_limit
+    if k.deferred then min deferred_cycle_budget k.cycle_limit
+    else k.cycle_limit
   in
   k.enumerate_calls <- k.enumerate_calls + 1;
   let t0 = now k in
@@ -294,9 +309,9 @@ let immune k v =
    single-victim policies are routed through the cut solver
    ([Ordered_min_cost], keeping Theorem 2's preemption order). Policies
    that already are cuts run unchanged. *)
-let resolution_policy k ~deferred cycles =
+let resolution_policy k cycles =
   if
-    deferred
+    k.deferred
     && (match cycles with _ :: _ :: _ -> true | [] | [ _ ] -> false)
     &&
     match k.policy with
@@ -305,11 +320,11 @@ let resolution_policy k ~deferred cycles =
   then Policy.Ordered_min_cost
   else k.policy
 
-let choose k ~deferred requester cycles =
+let choose k requester cycles =
   k.deadlocks <- k.deadlocks + 1;
   let decision =
     Resolver.choose ~immune:(immune k)
-      ~policy:(resolution_policy k ~deferred cycles)
+      ~policy:(resolution_policy k cycles)
       ~requester
       ~entry_order:(fun v -> Txn_state.entry_order (txn k v))
       ~release_cost:(release_cost k) ~rng:k.rng cycles
@@ -380,8 +395,8 @@ let deferred_escalation = 4
    byte-identical. (Victims past [deferred_escalation] never get here;
    they escalate to a delayed full restart, so this backoff stays too
    short to convoy waiters behind a still-held lock.) *)
-let backoff k ~deferred ~stagger v =
-  if deferred then
+let backoff k ~stagger v =
+  if k.deferred then
     let n = k.rollback_counts.(v) in
     stagger + (n * n)
   else 0
@@ -403,22 +418,21 @@ module Rollback (E : ENGINE) = struct
       (roll_back k v (txn k v) Txn_state.restart_target);
     E.resume e v ~at
 
-  let apply_rollback ?(deferred = false) ?(stagger = 0) e v entities =
+  let apply_rollback ?(stagger = 0) e v entities =
     let k = E.kernel e in
     let prior = k.rollback_counts.(v) in
-    if deferred && prior >= deferred_escalation then
+    if k.deferred && prior >= deferred_escalation then
       let delay = stagger + min 4096 (prior * prior) in
-      restart e v ~at:(k.tick + 1 + k.restart_delay + delay)
+      restart e v ~at:(k.tick + 1 + delay)
     else begin
       E.abandon_wait e v;
       E.release e v ~restart:false (release_arcs k v entities);
-      E.resume e v
-        ~at:(k.tick + 1 + k.restart_delay + backoff k ~deferred ~stagger v)
+      E.resume e v ~at:(k.tick + 1 + backoff k ~stagger v)
     end
 
-  let apply_victims e ~deferred (decision : Resolver.decision) =
+  let apply_victims e (decision : Resolver.decision) =
     List.iteri
-      (fun i (v, entities) -> apply_rollback ~deferred ~stagger:i e v entities)
+      (fun i (v, entities) -> apply_rollback ~stagger:i e v entities)
       decision.Resolver.victims
 end
 

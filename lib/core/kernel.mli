@@ -16,7 +16,8 @@ type t = {
   policy : Policy.t;
   starvation_limit : int option;
   cycle_limit : int;
-  restart_delay : int;
+  deferred : bool;
+      (** every resolution round is deferred; read by the kernel only *)
   clock : (unit -> float) option;
   store : Prb_storage.Store.t;
   locks : Prb_lock.Lock_table.t;
@@ -53,10 +54,14 @@ val create :
   starvation_limit:int option ->
   seed:int ->
   cycle_limit:int ->
-  restart_delay:int ->
+  deferred:bool ->
   clock:(unit -> float) option ->
   Prb_storage.Store.t ->
   t
+(** [deferred]: the engine's detection policy runs resolution rounds off
+    the request path (see {!Detection_policy}), so cycles accrete between
+    rounds. The engine decides this once from its configuration; the
+    kernel alone reads it, in {!cycles}, {!choose} and {!Rollback}. *)
 
 (** {2 Admission, lookup, commit} *)
 
@@ -110,17 +115,19 @@ val on_cycle_from : t -> int list -> int list
 val on_site_cycle :
   t -> site_of:(Prb_storage.Store.entity -> int) -> int -> bool
 
-val cycles : ?limit:int -> t -> int -> Resolver.cycle list
-(** At most [min limit cycle_limit] cycles through the requester, in the
-    resolver's form. *)
+val deferred_cycle_budget : int
+(** Cycles a deferred round enumerates at most (8). *)
+
+val cycles : t -> int -> Resolver.cycle list
+(** At most [cycle_limit] cycles through the requester, in the resolver's
+    form; at most {!deferred_cycle_budget} when [deferred]. *)
 
 val check_seconds : t -> float
 val enumerate_seconds : t -> float
 
 (** {2 Victim choice} *)
 
-val choose :
-  t -> deferred:bool -> int -> Resolver.cycle list -> Resolver.decision
+val choose : t -> int -> Resolver.cycle list -> Resolver.decision
 (** One round's victims. The starvation guard shields transactions rolled
     back [starvation_limit] times; a [deferred] round facing several
     cycles routes the single-victim policies through the vertex cut
@@ -157,7 +164,6 @@ module Rollback (E : ENGINE) : sig
   (** Roll back to the restart target and resume at [at]. *)
 
   val apply_rollback :
-    ?deferred:bool ->
     ?stagger:int ->
     E.engine ->
     int ->
@@ -168,7 +174,7 @@ module Rollback (E : ENGINE) : sig
       rollback; after {!deferred_escalation} it restarts instead, delayed
       [stagger + min 4096 n²]. *)
 
-  val apply_victims : E.engine -> deferred:bool -> Resolver.decision -> unit
+  val apply_victims : E.engine -> Resolver.decision -> unit
   (** {!apply_rollback} to every victim of a decision, in order. *)
 end
 

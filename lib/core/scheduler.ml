@@ -24,7 +24,6 @@ type config = {
   seed : int;
   max_ticks : int;
   cycle_limit : int;
-  restart_delay : int;
   fair_locking : bool;
   faults : Fault.plan option;
   clock : (unit -> float) option;
@@ -40,7 +39,6 @@ let default_config =
     seed = 1;
     max_ticks = 1_000_000;
     cycle_limit = 256;
-    restart_delay = 0;
     fair_locking = true;
     faults = None;
     clock = None;
@@ -119,14 +117,19 @@ type t = {
 }
 
 let create ?(config = default_config) store =
+  let deferred =
+    match config.intervention with
+    | Detect -> not (Detection_policy.is_eager config.detection)
+    | Timeout_abort _ | Wound_wait_c | Wait_die_c -> false
+  in
   let t =
   {
     cfg = config;
     k =
       Kernel.create ~fair:config.fair_locking ~strategy:config.strategy
         ~policy:config.policy ~starvation_limit:config.starvation_limit
-        ~seed:config.seed ~cycle_limit:config.cycle_limit
-        ~restart_delay:config.restart_delay ~clock:config.clock store;
+        ~seed:config.seed ~cycle_limit:config.cycle_limit ~deferred
+        ~clock:config.clock store;
     events = Pqueue.create ();
     cycles_broken = 0;
     optimal_resolutions = 0;
@@ -162,18 +165,17 @@ let create ?(config = default_config) store =
      the sweep tick chain ([Periodic]/[Adaptive]) and the watchdog chain
      are both self-perpetuating, so the event queue cannot drain while
      deadlocked transactions sit with no [Exec] events of their own. *)
-  (match config.intervention with
-  | Detect when not (Detection_policy.is_eager config.detection) ->
-      (match config.detection with
-      | Detection_policy.Periodic _ | Detection_policy.Adaptive ->
-          Pqueue.push t.events
-            ~priority:(Detection_policy.initial_interval config.detection)
-            ~tag:ev_detect_tick ~a:0 ~b:0
-      | Detection_policy.Eager | Detection_policy.Lazy_on_timeout _ -> ());
-      Pqueue.push t.events
-        ~priority:(Detection_policy.stall_bound config.detection)
-        ~tag:ev_watchdog ~a:0 ~b:0
-  | Detect | Timeout_abort _ | Wound_wait_c | Wait_die_c -> ());
+  if deferred then begin
+    (match config.detection with
+    | Detection_policy.Periodic _ | Detection_policy.Adaptive ->
+        Pqueue.push t.events
+          ~priority:(Detection_policy.initial_interval config.detection)
+          ~tag:ev_detect_tick ~a:0 ~b:0
+    | Detection_policy.Eager | Detection_policy.Lazy_on_timeout _ -> ());
+    Pqueue.push t.events
+      ~priority:(Detection_policy.stall_bound config.detection)
+      ~tag:ev_watchdog ~a:0 ~b:0
+  end;
   t
 
 let config t = t.cfg
@@ -313,37 +315,24 @@ let[@lint.allow
      "A1: a restart abandons the pending request and rolls the victim \
       back to state 0 — restart machinery allocates by design, off the \
       grant fast path"] self_restart t id =
-  Rollback.restart t id ~at:(t.k.tick + 1 + t.cfg.restart_delay)
-
-(* A deferred round's cycle-enumeration budget. The eager path enumerates
-   up to [cycle_limit] cycles through the requester because its victim
-   choices are part of the replayable contract. A deferred pass — sweep
-   fixpoint or targeted probe — re-examines the graph after every cut, so
-   it can feed the Section 3.2 cut solver a small sample per round and
-   let iteration make up the difference. On the dense graphs deferral
-   accretes, DFS cycle enumeration is the dominant detection cost, and
-   this budget is where the deferred policies' wall-clock win over eager
-   detection comes from. (Sampling is only safe together with the
-   kernel's escalation: small cuts roll back fewer victims per round, and
-   without escalation the survivors re-collide indefinitely.) *)
-let deferred_cycle_budget = 8
+  Rollback.restart t id ~at:(t.k.tick + 1)
 
 (* One resolution round: count it, pick victims, apply the rollbacks. *)
 let[@lint.allow
      "A1: a resolution round builds the resolver decision and applies \
       the victims' rollbacks; it runs only on a detected \
-      deadlock"] resolve_round t ~deferred requester cycles =
+      deadlock"] resolve_round t requester cycles =
   Log.info (fun m ->
       m "[%d] deadlock: %d cycle(s) through T%d" t.k.tick (List.length cycles)
         requester);
   t.cycles_broken <- t.cycles_broken + List.length cycles;
-  let decision = Kernel.choose t.k ~deferred requester cycles in
+  let decision = Kernel.choose t.k requester cycles in
   if decision.Resolver.optimal then
     t.optimal_resolutions <- t.optimal_resolutions + 1;
   (match t.deadlock_hook with
   | Some hook -> hook ~requester ~cycles ~decision
   | None -> ());
-  Rollback.apply_victims t ~deferred decision
+  Rollback.apply_victims t decision
 
 (* Resolve until no blocked transaction lies on a cycle. New requests can
    only close cycles through the requester, but a resolution round's side
@@ -405,7 +394,7 @@ let[@lint.allow
 let[@lint.allow
      "A1: runs only when the seeded SCC pass reported a cycle — cycle \
       enumeration and victim selection allocate their reports by \
-      design"] rd_round t ~deferred primary on_cycle =
+      design"] rd_round t primary on_cycle =
   let candidates =
     match primary with
     | Some p when List.exists (Txn_id.equal p) on_cycle ->
@@ -415,11 +404,7 @@ let[@lint.allow
   let cycle_site =
     List.find_map
       (fun b ->
-        match
-          Kernel.cycles
-            ?limit:(if deferred then Some deferred_cycle_budget else None)
-            t.k b
-        with
+        match Kernel.cycles t.k b with
         | [] -> None
         | cycles -> Some (b, cycles))
       candidates
@@ -431,10 +416,10 @@ let[@lint.allow
          transactions. *)
       false
   | Some (requester, cycles) ->
-      resolve_round t ~deferred requester cycles;
+      resolve_round t requester cycles;
       true
 
-let rec rd_fixpoint t ~deferred primary round =
+let rec rd_fixpoint t primary round =
   if round > 1000 then raise (Stuck "deadlock resolution did not converge");
   rd_sort_dirty t;
   match rd_seeds t (t.n_dirty - 1) [] with
@@ -446,11 +431,10 @@ let rec rd_fixpoint t ~deferred primary round =
       with
       | [] -> rd_converged t
       | on_cycle ->
-          if rd_round t ~deferred primary on_cycle then
-            rd_fixpoint t ~deferred primary (round + 1))
+          if rd_round t primary on_cycle then
+            rd_fixpoint t primary (round + 1))
 
-let[@hot] resolve_deadlocks t ~deferred primary =
-  rd_fixpoint t ~deferred primary 1
+let[@hot] resolve_deadlocks t primary = rd_fixpoint t primary 1
 
 (* A targeted lazy probe: examine only the waits-for slice reachable from
    the one transaction whose timer expired, resolving until that slice is
@@ -471,14 +455,14 @@ let resolve_probe t id =
           if List.exists (Txn_id.equal id) on_cycle then id
           else List.fold_left min (List.hd on_cycle) on_cycle
         in
-        match Kernel.cycles ~limit:deferred_cycle_budget t.k requester with
+        match Kernel.cycles t.k requester with
         | [] ->
             (* enumeration budget exhausted; leave it to the watchdog's
                full sweep rather than spinning here *)
             continue_ := false
         | cycles ->
             found := true;
-            resolve_round t ~deferred:true requester cycles)
+            resolve_round t requester cycles)
   done;
   !found
 
@@ -491,7 +475,7 @@ let[@lint.allow
       path"] run_sweep t =
   t.detection_passes <- t.detection_passes + 1;
   let before = t.k.deadlocks in
-  resolve_deadlocks t ~deferred:true None;
+  resolve_deadlocks t None;
   t.last_detect_tick <- t.k.tick;
   t.k.deadlocks > before
 
@@ -625,7 +609,7 @@ let handle_lock_request t id mode e =
                  bills its enumeration to the enumerate counters and its
                  rollback work to nobody. *)
               if Kernel.would_deadlock k ~waiter:id ~holders then
-                (resolve_deadlocks t ~deferred:false (Some id)
+                (resolve_deadlocks t (Some id)
                  [@lint.allow
                    "A1: a detected deadlock hands the requester to \
                     resolution, which allocates by design"])

@@ -58,10 +58,6 @@ type config = {
   seed : int;  (** drives only the [Random_victim] policy *)
   max_ticks : int;  (** hard stop against livelock (paper Figure 2) *)
   cycle_limit : int;  (** bound on cycle enumeration per deadlock *)
-  restart_delay : int;
-      (** extra ticks before a rollback victim resumes; 0 reproduces the
-          paper's model faithfully, small values break the lock-step
-          re-collision pattern deterministic execution invites *)
   fair_locking : bool;
       (** [true] (default): queue-respecting grants — required for
           liveness with shared locks (see {!Prb_lock.Lock_table});
@@ -90,7 +86,7 @@ type config = {
 val default_config : config
 (** [Sdg] strategy, [Detect] intervention, [Eager] detection (no
     starvation limit), [Ordered_min_cost] policy, seed 1, 1_000_000
-    ticks, 256 cycles, restart delay 0, fair locking, no faults. *)
+    ticks, 256 cycles, fair locking, no faults. *)
 
 val create : ?config:config -> Prb_storage.Store.t -> t
 

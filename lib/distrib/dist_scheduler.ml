@@ -34,7 +34,6 @@ type config = {
   seed : int;
   max_ticks : int;
   cycle_limit : int;
-  restart_delay : int;
   faults : Fault.plan option;
   clock : (unit -> float) option;
       (** wall-clock source for the detection-cost accounting
@@ -61,7 +60,6 @@ let default_config =
     seed = 1;
     max_ticks = 1_000_000;
     cycle_limit = 256;
-    restart_delay = 0;
     faults = None;
     clock = None;
   }
@@ -110,6 +108,10 @@ type t = {
   faults : Fault.t option;
   down : bool array;
   up_at : int array;  (** recovery tick of a currently-down site *)
+  mutable n_down : int;
+      (** sites currently down; the run is quiescent only once they all
+          recovered, or a release swallowed by a dead site would leave its
+          holder row behind for want of the recovery rebuild *)
   mutable inflight_releases : int;
       (** release messages not yet delivered; the run is quiescent only
           once they drain, or end-of-run lock-table checks would see
@@ -154,20 +156,27 @@ let create ?site_of config store =
     | Some p when not (Fault.is_none p) -> Some (Fault.make p)
     | Some _ | None -> None
   in
+  let deferred =
+    match config.detection with
+    | Local_then_global _ ->
+        not (Detection_policy.is_eager config.detection_policy)
+    | Wound_wait -> false
+  in
   let t =
     {
       cfg = config;
       k =
         Kernel.create ~fair:true ~strategy:config.strategy
           ~policy:config.policy ~starvation_limit:config.starvation_limit
-          ~seed:config.seed ~cycle_limit:config.cycle_limit
-          ~restart_delay:config.restart_delay ~clock:config.clock store;
+          ~seed:config.seed ~cycle_limit:config.cycle_limit ~deferred
+          ~clock:config.clock store;
       site_fn;
       metas = [||];
       events = Heap.create ();
       faults;
       down = Array.make config.n_sites false;
       up_at = Array.make config.n_sites 0;
+      n_down = 0;
       inflight_releases = 0;
       local_deadlocks = 0;
       global_deadlocks = 0;
@@ -218,7 +227,7 @@ let lock_table t = t.k.locks
 let now t = t.k.tick
 let n_committed t = t.k.commits
 let all_committed t = Kernel.all_committed t.k
-let quiescent t = all_committed t && t.inflight_releases = 0
+let quiescent t = all_committed t && t.inflight_releases = 0 && t.n_down = 0
 let history t = t.k.hist
 let site_up t s = not t.down.(s)
 let txn_state t id = Kernel.txn t.k id
@@ -433,14 +442,12 @@ let is_local_cycle t cycle =
       List.for_all (fun (_, e) -> site_of t e = s) rest
 
 (* Under a deferred detection policy every round — the global rounds and
-   the site-local block-time rounds alike — can be routed through the
-   minimum-cost vertex cut (see [Kernel.choose]); only the
-   global rounds get the deferred backoff and escalation. *)
-let resolve_cycles ?(deferred = false) t requester cycles =
-  Rollback.apply_victims t ~deferred
-    (Kernel.choose t.k
-       ~deferred:(not (Detection_policy.is_eager t.cfg.detection_policy))
-       requester cycles)
+   the site-local block-time rounds alike — is a deferred round of the
+   kernel: it enumerates at most [Kernel.deferred_cycle_budget] cycles,
+   routes several of them through the minimum-cost vertex cut (see
+   [Kernel.choose]), and backs off or escalates its repeat victims. *)
+let resolve_cycles t requester cycles =
+  Rollback.apply_victims t (Kernel.choose t.k requester cycles)
 
 (* Local detection at block time: a site resolves instantly any cycle
    whose contested entities all live on it. The site-restricted probe
@@ -517,9 +524,7 @@ let run_global_detection t =
     | None -> ()
     | Some (requester, cycles) ->
         t.global_deadlocks <- t.global_deadlocks + 1;
-        resolve_cycles
-          ~deferred:(not (Detection_policy.is_eager t.cfg.detection_policy))
-          t requester cycles;
+        resolve_cycles t requester cycles;
         fixpoint ()
   in
   fixpoint ()
@@ -534,7 +539,7 @@ let degrade t =
       let since = t.k.blocked_since.(b) in
       if since >= 0 && t.k.tick - since >= to_.Fault.degraded_timeout then begin
         t.timeout_aborts <- t.timeout_aborts + 1;
-        Rollback.restart t b ~at:(t.k.tick + 1 + t.cfg.restart_delay)
+        Rollback.restart t b ~at:(t.k.tick + 1)
       end)
     (blocked_txns t)
 
@@ -654,13 +659,14 @@ let partial_crash_rollback t id ~site =
   if on_site <> [] then begin
     forget_wait t id;
     release_after_rollback t id (Kernel.release_arcs t.k id on_site);
-    push t ~at:(t.k.tick + 1 + t.cfg.restart_delay) (Exec id)
+    push t ~at:(t.k.tick + 1) (Exec id)
   end
 
 let crash_site t s downtime =
   if not t.down.(s) then begin
     t.site_crashes <- t.site_crashes + 1;
     t.down.(s) <- true;
+    t.n_down <- t.n_down + 1;
     t.up_at.(s) <- t.k.tick + downtime;
     push t ~at:(t.k.tick + downtime) (Recover s);
     let n = t.k.next_id in
@@ -672,7 +678,7 @@ let crash_site t s downtime =
       if
         Txn_state.phase (txn_state t id) = Txn_state.Growing
         && (meta t id).home = s
-      then Rollback.restart t id ~at:(t.up_at.(s) + 1 + t.cfg.restart_delay)
+      then Rollback.restart t id ~at:(t.up_at.(s) + 1)
     done;
     (* Remote transactions lose whatever they hold at the site: roll each
        back (per strategy) to its last state not touching it. *)
@@ -721,6 +727,7 @@ let rebuild_site_locks t s =
 
 let recover_site t s =
   t.down.(s) <- false;
+  t.n_down <- t.n_down - 1;
   t.site_recoveries <- t.site_recoveries + 1;
   match t.faults with
   | Some f when not (Fault.plan f).Fault.rebuild_locks -> ()

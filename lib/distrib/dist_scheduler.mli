@@ -86,7 +86,6 @@ type config = {
   seed : int;
   max_ticks : int;
   cycle_limit : int;
-  restart_delay : int;
   faults : Prb_fault.Fault.plan option;
       (** [None] (default) is the failure-free world; [Some plan] enables
           site crashes, message faults and detector outages *)
@@ -106,11 +105,13 @@ val default_config : config
     every round (Figure 2's pathology resurrected by staleness; measured
     in E10b). Age-based selection converges, which is why the distributed
     literature the paper cites uses timestamps. (Under a deferred
-    detection policy every round facing more than one cycle — global
-    rounds and site-local block-time rounds alike — is nonetheless routed
-    through the Section 3.2 vertex cut as [Ordered_min_cost], with the
-    starvation guard available to bound any re-victimisation; the
-    deferred backoff and escalation apply to the global rounds only.) *)
+    detection policy every round — global rounds and site-local
+    block-time rounds alike — is a deferred round of the kernel: it
+    enumerates at most {!Prb_core.Kernel.deferred_cycle_budget} cycles,
+    routes several of them through the Section 3.2 vertex cut as
+    [Ordered_min_cost], and backs off or escalates its repeat victims,
+    with the starvation guard available to bound any
+    re-victimisation.) *)
 
 type t
 
@@ -126,6 +127,10 @@ val submit : t -> home:int -> Prb_txn.Program.t -> int
 (** Timestamps for wound-wait are admission order (smaller id = older). *)
 
 val step : t -> bool
+(** Process one event; [false] once every transaction committed, every
+    release message landed and every crashed site recovered, or at
+    [max_ticks]. *)
+
 val run : t -> unit
 
 val now : t -> int

@@ -250,6 +250,35 @@ let test_deferred_policies_complete () =
       checkb "serializable" true r.Dist_sim.serializable)
     DP.all_deferred
 
+(* Under a deferred detection policy the site-local block-time rounds
+   once rolled their victims back with neither backoff nor escalation:
+   on this hot workload a repeat victim was rolled back every period by a
+   site-local round, forever, and the run stopped at [max_ticks] with
+   transactions uncommitted. Every round is deferred now, so all commit. *)
+let test_deferred_local_rounds_no_livelock () =
+  let module DP = Prb_core.Detection_policy in
+  let params = { Generator.default_params with zipf_theta = 0.8 } in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun detection_policy ->
+          let store = Generator.populate params in
+          let programs = Generator.generate params ~seed ~n:3000 in
+          let config =
+            {
+              Dist_sim.scheduler =
+                { D.default_config with detection_policy; seed };
+              mpl = 16;
+            }
+          in
+          let r = Dist_sim.run ~config ~store programs in
+          checki
+            (Fmt.str "seed %d: all commit under %a" seed DP.pp
+               detection_policy)
+            3000 r.Dist_sim.stats.D.commits)
+        DP.all_deferred)
+    [ 6; 8 ]
+
 (* qcheck: a global round's census-driven pick against the scan it
    replaced. The reference lives here, since production code may not
    depend on a reference implementation: it walks every blocked
@@ -350,12 +379,12 @@ let test_e13_every_enumeration_resolves () =
     [ 1000; 5000 ]
 
 (* The escalation rule of deferred rounds, as the multi-site engine
-   applies it. Only global rounds are deferred under a deferred detection
-   policy: a victim of one already rolled back [deferred_escalation] (4)
-   times is fully restarted and resumes [stagger + min 4096 n²] ticks late
-   ([n] its prior rollback count, [stagger] its position among a round's
-   victims, so below the number of blocked transactions); every other
-   victim, and every victim of a site-local round, is rolled back
+   applies it. Under a deferred detection policy every round is deferred,
+   the site-local block-time rounds as much as the global ones: a victim
+   already rolled back [deferred_escalation] (4) times is fully restarted
+   and resumes [stagger + min 4096 n²] ticks late ([n] its prior rollback
+   count, [stagger] its position among a round's victims, so below the
+   number of blocked transactions); every other victim is rolled back
    partially. The engine has no deadlock hook, so the test watches each
    transaction's rollback count across steps. *)
 let test_escalation () =
@@ -398,7 +427,7 @@ let test_escalation () =
       incr submitted
     done
   in
-  let escalated = ref 0 and partial = ref 0 in
+  let escalated = ref 0 and partial = ref 0 and local_escalated = ref 0 in
   (* restarted victims not yet resumed: (id, executed after the restart,
      earliest and latest tick it may resume at) *)
   let waiting = ref [] in
@@ -406,14 +435,14 @@ let test_escalation () =
   let continue = ref true in
   while !continue do
     let before = List.map (fun v -> (v, Txn_state.n_rollbacks (ts v))) !ids in
-    let global = (D.stats sched).D.global_deadlocks in
+    let local = (D.stats sched).D.local_deadlocks in
     let blocked =
       List.length
         (List.filter (Waits_for.is_blocked (D.waits_for sched)) !ids)
     in
     continue := D.step sched;
     let now = D.now sched in
-    let deferred_round = (D.stats sched).D.global_deadlocks > global in
+    let local_round = (D.stats sched).D.local_deadlocks > local in
     waiting :=
       List.filter
         (fun (v, executed, lo, hi) ->
@@ -431,8 +460,9 @@ let test_escalation () =
     List.iter
       (fun (v, prior) ->
         if Txn_state.n_rollbacks (ts v) > prior then
-          if deferred_round && prior >= 4 then begin
+          if prior >= 4 then begin
             incr escalated;
+            if local_round then incr local_escalated;
             checki "escalated: full restart" 0 (Txn_state.pc (ts v));
             let delay = 1 + min 4096 (prior * prior) in
             waiting :=
@@ -451,6 +481,7 @@ let test_escalation () =
   done;
   checkb "all commit" true (D.all_committed sched);
   checkb "escalations happened" true (!escalated > 0);
+  checkb "site-local rounds escalate too" true (!local_escalated > 0);
   checkb "partial rollbacks happened" true (!partial > 0);
   checkb "every restarted victim resumed" true (!waiting = [])
 
@@ -479,6 +510,8 @@ let () =
           Alcotest.test_case "wound-wait ages" `Quick test_wound_wait_orders_by_age;
           Alcotest.test_case "deferred policies complete" `Slow
             test_deferred_policies_complete;
+          Alcotest.test_case "deferred local rounds do not livelock" `Slow
+            test_deferred_local_rounds_no_livelock;
           QCheck_alcotest.to_alcotest qcheck_census_pick_vs_scan;
           Alcotest.test_case "deferred escalation" `Quick test_escalation;
           Alcotest.test_case "E13 high: every enumeration resolves" `Slow
