@@ -6,6 +6,7 @@ module Txn_state = Prb_rollback.Txn_state
 module History = Prb_history.History
 module History_stack = Prb_rollback.History_stack
 module Rng = Prb_util.Rng
+module Round = Prb_graph.Round
 
 exception Stuck of string
 
@@ -45,6 +46,7 @@ type t = {
   mutable check_calls : int;
   mutable enumerate_calls : int;
   seconds : float array;
+  round : Round.t;
 }
 
 let initial_txn_cap = 64
@@ -81,6 +83,7 @@ let create ~fair ~strategy ~policy ~starvation_limit ~seed ~cycle_limit
     check_calls = 0;
     enumerate_calls = 0;
     seconds = Array.make 2 0.0;
+    round = Round.create ();
   }
 
 (* --- Admission, lookup, commit ------------------------------------- *)
@@ -235,10 +238,9 @@ let on_site_cycle k ~site_of id =
    indefinitely.) *)
 let deferred_cycle_budget = 8
 
-(* Cycles through the requester, converted to the resolver's (member,
-   entity-to-release) form. A waits-for cycle [r; v1; ...; vk] has edges
-   r->v1 (r waits for v1 on e1) ... vk->r; deleting the arc into a member
-   means that member releases the entity labelling the arc. *)
+(* The cycles through the requester, in the kernel's one resolution
+   round (DESIGN §15): the enumerator fills it directly, and every policy
+   and the cut solver read it. *)
 let cycles k requester =
   let limit =
     if k.deferred then min deferred_cycle_budget k.cycle_limit
@@ -246,22 +248,12 @@ let cycles k requester =
   in
   k.enumerate_calls <- k.enumerate_calls + 1;
   let t0 = now k in
-  let raw = Waits_for.cycles_through ~limit k.wfg requester in
+  Waits_for.enumerate ~limit k.wfg requester k.round;
   bill k enumerate_slot t0;
-  let label u v =
-    match Waits_for.wait_label k.wfg u v with
-    | Some e -> e
-    | None -> raise (Stuck "waits-for edge vanished during resolution")
-  in
-  List.map
-    (fun cycle ->
-      let rec arcs = function
-        | [] -> []
-        | [ last ] -> [ (requester, label last requester) ]
-        | u :: (v :: _ as rest) -> (v, label u v) :: arcs rest
-      in
-      arcs cycle)
-    raw
+  k.round
+
+let cut_nodes k = k.round.Round.nodes
+let cut_cycles k = k.round.Round.solved
 
 (* --- Victim choice ------------------------------------------------- *)
 
@@ -309,10 +301,10 @@ let immune k v =
    single-victim policies are routed through the cut solver
    ([Ordered_min_cost], keeping Theorem 2's preemption order). Policies
    that already are cuts run unchanged. *)
-let resolution_policy k cycles =
+let resolution_policy k (round : Round.t) =
   if
     k.deferred
-    && (match cycles with _ :: _ :: _ -> true | [] | [ _ ] -> false)
+    && round.ncyc >= 2
     &&
     match k.policy with
     | Policy.Min_cost | Policy.Ordered_min_cost -> false
@@ -320,14 +312,14 @@ let resolution_policy k cycles =
   then Policy.Ordered_min_cost
   else k.policy
 
-let choose k requester cycles =
+let choose k requester round =
   k.deadlocks <- k.deadlocks + 1;
   let decision =
-    Resolver.choose ~immune:(immune k)
-      ~policy:(resolution_policy k cycles)
+    Resolver.decide ~immune:(immune k)
+      ~policy:(resolution_policy k round)
       ~requester
       ~entry_order:(fun v -> Txn_state.entry_order (txn k v))
-      ~release_cost:(release_cost k) ~rng:k.rng cycles
+      ~release_cost:(release_cost k) ~rng:k.rng round
   in
   if decision.Resolver.starved_fallback then
     k.starvation_fallbacks <- k.starvation_fallbacks + 1;

@@ -43,6 +43,8 @@ type t = {
   mutable check_calls : int;
   mutable enumerate_calls : int;
   seconds : float array;
+  round : Prb_graph.Round.t;
+      (** the one resolution round, refilled by {!cycles} *)
 }
 (** Engines read the fields directly on their per-step paths (a
     cross-module accessor would not be inlined). They write only [tick]. *)
@@ -118,17 +120,26 @@ val on_site_cycle :
 val deferred_cycle_budget : int
 (** Cycles a deferred round enumerates at most (8). *)
 
-val cycles : t -> int -> Resolver.cycle list
-(** At most [cycle_limit] cycles through the requester, in the resolver's
-    form; at most {!deferred_cycle_budget} when [deferred]. *)
+val cycles : t -> int -> Prb_graph.Round.t
+(** Refill the kernel's resolution round with at most [cycle_limit]
+    cycles through the requester; at most {!deferred_cycle_budget} when
+    [deferred]. Returns the round, which stays valid until the next
+    call. *)
+
+val cut_nodes : t -> int
+(** Branch-and-bound nodes the cut solver expanded, over the run. *)
+
+val cut_cycles : t -> int
+(** Cycles handed to the cut solver, over the run. *)
 
 val check_seconds : t -> float
 val enumerate_seconds : t -> float
 
 (** {2 Victim choice} *)
 
-val choose : t -> int -> Resolver.cycle list -> Resolver.decision
-(** One round's victims. The starvation guard shields transactions rolled
+val choose : t -> int -> Prb_graph.Round.t -> Resolver.decision
+(** One round's victims, from the round {!cycles} filled (possibly
+    filtered since). The starvation guard shields transactions rolled
     back [starvation_limit] times; a [deferred] round facing several
     cycles routes the single-victim policies through the vertex cut
     ([Ordered_min_cost]). *)

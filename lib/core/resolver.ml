@@ -1,4 +1,5 @@
 module Cutset = Prb_graph.Cutset
+module Round = Prb_graph.Round
 module Rng = Prb_util.Rng
 module Txn_id = Prb_txn.Txn_id
 module Entity = Prb_storage.Store.Entity
@@ -13,166 +14,96 @@ type decision = {
   starved_fallback : bool;
 }
 
-(* One pass over the cycles builds the per-member released-entity table
-   that both the cost function and the final decision read; entities are
-   sorted and deduped once per member, not once per query. The cost
-   function is consulted once per candidate per resolution (the cut
-   solver memoises it), so with up to [cycle_limit] cycles of up to MPL
-   members this table is what keeps victim selection linear in the cycle
-   input instead of quadratic. The per-member entity set is exactly what
-   [concat_map] + [sort_uniq] over the cycle list produced, so decisions
-   are unchanged. *)
-let rec member_slot_ (a : int array) v lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) / 2 in
-    if a.(mid) < v then member_slot_ a v (mid + 1) hi
-    else member_slot_ a v lo mid
+(* Every policy reads the round (DESIGN §15): members ranked by id, each
+   cycle as a member sequence and a member bitset, and each member's
+   needs — the label slots of its inbound arcs, collected once while the
+   round was filled. A member's released-entity set is its needs' labels
+   sorted and deduped, exactly what [concat_map] + [sort_uniq] over the
+   cycle list produced, so decisions are unchanged. The cost function is
+   consulted once per cut candidate (the cut solver memoises it). *)
+let needed (r : Round.t) i =
+  List.sort_uniq Entity.compare (Round.needed_labels r i)
 
-let needed_table cycles =
-  (* The distinct members of a resolution's cycles are the blocked
-     transactions of one strongly connected component — bounded by the
-     multiprogramming level even when the cycle list runs to the
-     enumeration limit — so a sorted array with binary search beats
-     hashing the member id once per (member, entity) pair of a long
-     cycle stream. *)
-  let members = ref (Array.make 16 0) in
-  let raw : entity list array ref = ref (Array.make 16 []) in
-  let n = ref 0 in
-  List.iter
-    (fun cycle ->
-      List.iter
-        (fun ((m : int), e) ->
-          let p = member_slot_ !members m 0 !n in
-          if p < !n && !members.(p) = m then !raw.(p) <- e :: !raw.(p)
-          else begin
-            if !n = Array.length !members then begin
-              let nm = Array.make (2 * !n) 0 and nr = Array.make (2 * !n) [] in
-              Array.blit !members 0 nm 0 !n;
-              Array.blit !raw 0 nr 0 !n;
-              members := nm;
-              raw := nr
-            end;
-            Array.blit !members p !members (p + 1) (!n - p);
-            Array.blit !raw p !raw (p + 1) (!n - p);
-            !members.(p) <- m;
-            !raw.(p) <- [ e ];
-            incr n
-          end)
-        cycle)
-    cycles;
-  let members = !members and raw = !raw and n = !n in
-  let memo : entity list option array = Array.make (max 1 n) None in
-  fun v ->
-    let p = member_slot_ members v 0 n in
-    if p < n && members.(p) = v then
-      match memo.(p) with
-      | Some es -> es
-      | None ->
-          let es = List.sort_uniq Entity.compare raw.(p) in
-          memo.(p) <- Some es;
-          es
-    else []
+(* [chosen] is a member bitset, so the victims come out by ascending
+   member index, which is ascending txn id. *)
+let decision_of (r : Round.t) ~optimal ~immune chosen =
+  let victims = ref [] and starved = ref false in
+  for i = r.n - 1 downto 0 do
+    if Round.mem chosen 0 i then begin
+      let v = r.ids.(i) in
+      victims := (v, needed r i) :: !victims;
+      (* the starvation guard had to be overridden: some cycle offered no
+         non-immune victim, so an immune transaction is rolled back anyway
+         (deadlocks must break; immunity bends before liveness does) *)
+      if immune v then starved := true
+    end
+  done;
+  { victims = !victims; optimal; starved_fallback = !starved }
 
-let decision_of ~needed ~optimal ~immune chosen =
-  {
-    victims =
-      (* victims are pairwise-distinct transactions *)
-      List.map (fun v -> (v, needed v)) chosen
-      |> List.sort (fun (a, _) (b, _) -> Txn_id.compare a b);
-    optimal;
-    (* the starvation guard had to be overridden: some cycle offered no
-       non-immune victim, so an immune transaction is rolled back anyway
-       (deadlocks must break; immunity bends before liveness does) *)
-    starved_fallback = List.exists immune chosen;
-  }
+let add_member (set : int array) i =
+  set.(i / 63) <- set.(i / 63) lor (1 lsl (i mod 63))
+
+let rec meets (a : int array) off (b : int array) w words =
+  w < words && (a.(off + w) land b.(w) <> 0 || meets a off b (w + 1) words)
 
 (* Iteratively break surviving cycles, picking a member of the first
-   surviving cycle by [pick]. *)
-let iterative_pick cycles pick =
-  let rec loop chosen =
-    let surviving =
-      List.filter
-        (fun cycle ->
-          not
-            (List.exists
-               (fun (m, _) -> List.exists (Txn_id.equal m) chosen)
-               cycle))
-        cycles
-    in
-    match surviving with
-    | [] -> List.rev chosen
-    | cycle :: _ -> loop (pick cycle :: chosen)
-  in
-  loop []
+   surviving cycle by [pick]. A cycle once hit stays hit, so one pass in
+   cycle order visits the first survivor of every iteration. *)
+let iterative_pick (r : Round.t) pick =
+  let chosen = Array.make r.words 0 in
+  for c = 0 to r.ncyc - 1 do
+    if not (meets r.masks (c * r.words) chosen 0 r.words) then
+      add_member chosen (pick c)
+  done;
+  chosen
 
-let min_cost_cut ~requester cycles ~needed ~release_cost ~eligible ~immune =
+(* The members of cycle [c] a single-victim policy picks among, in
+   cycle order: its non-immune members when any exist, else the whole
+   cycle (same override rule as the cut). *)
+let pickable (r : Round.t) ~immune c =
+  let s = r.start.(c) in
+  let all = List.init (r.start.(c + 1) - s) (fun j -> r.seq.(s + j)) in
+  match List.filter (fun i -> not (immune r.ids.(i))) all with
+  | [] -> all
+  | kept -> kept
+
+let min_cost_cut (r : Round.t) ~requester ~release_cost ~eligible ~immune =
   (* Hitting set over cycles restricted to eligible members. Starvation-
      immune members are dropped first; a cycle with only immune eligible
      members keeps them (immunity bends before liveness — the caller reads
      [starved_fallback] off the decision). A cycle with no eligible member
      at all falls back to the requester (which is on every cycle), so a
      cut always exists. *)
-  let restricted =
-    List.map
-      (fun cycle ->
-        match
-          List.filter_map
-            (fun (m, _) ->
-              if eligible m && not (immune m) then Some m else None)
-            cycle
-        with
-        | _ :: _ as kept -> kept
-        | [] -> (
-            match
-              List.filter_map
-                (fun (m, _) -> if eligible m then Some m else None)
-                cycle
-            with
-            | [] ->
-                List.filter_map
-                  (fun (m, _) ->
-                    if Txn_id.equal m requester then Some m else None)
-                  cycle
-            | kept -> kept))
-      cycles
+  let keep = Array.make r.words 0 and fallback = Array.make r.words 0 in
+  for i = 0 to r.n - 1 do
+    let v = r.ids.(i) in
+    if eligible v then begin
+      add_member fallback i;
+      if not (immune v) then add_member keep i
+    end
+  done;
+  Round.restrict r ~keep ~fallback ~last:requester;
+  let optimal =
+    Cutset.solve r ~cost:(fun i ->
+        float_of_int (release_cost r.ids.(i) (needed r i)))
   in
-  let instance =
-    {
-      Cutset.cycles = restricted;
-      cost = (fun v -> float_of_int (release_cost v (needed v)));
-    }
-  in
-  match Cutset.exact instance with
-  | Some chosen -> (chosen, true)
-  | None -> (Cutset.greedy instance, false)
+  (Array.sub r.cut 0 r.words, optimal)
 
-let choose ?(immune = fun _ -> false) ~policy ~requester ~entry_order
-    ~release_cost ~rng cycles =
-  if cycles = [] then invalid_arg "Resolver.choose: no cycles";
-  List.iter
-    (fun cycle ->
-      if not (List.exists (fun (m, _) -> Txn_id.equal m requester) cycle) then
-        invalid_arg "Resolver.choose: requester missing from a cycle")
-    cycles;
-  let needed = needed_table cycles in
-  (* The iterative policies pick among a cycle's non-immune members when
-     any exist, else the whole cycle (same override rule as the cut). *)
-  let pickable cycle =
-    match List.filter (fun (m, _) -> not (immune m)) cycle with
-    | [] -> cycle
-    | kept -> kept
-  in
+let decide ?(immune = fun _ -> false) ~policy ~requester ~entry_order
+    ~release_cost ~rng (r : Round.t) =
+  let req = Round.member_index r requester in
   match policy with
   | Policy.Requester ->
-      decision_of ~needed ~optimal:false ~immune [ requester ]
+      let chosen = Array.make r.words 0 in
+      add_member chosen req;
+      decision_of r ~optimal:false ~immune chosen
   | Policy.Min_cost ->
       let chosen, optimal =
-        min_cost_cut ~requester cycles ~needed ~release_cost
+        min_cost_cut r ~requester:req ~release_cost
           ~eligible:(fun _ -> true)
           ~immune
       in
-      decision_of ~needed ~optimal ~immune chosen
+      decision_of r ~optimal ~immune chosen
   | Policy.Ordered_min_cost ->
       (* Theorem 2 with entry time as the partial order: a conflict may
          only preempt transactions that entered strictly later than the
@@ -182,28 +113,38 @@ let choose ?(immune = fun _ -> false) ~policy ~requester ~entry_order
       let requester_order = entry_order requester in
       let eligible v = entry_order v > requester_order in
       let chosen, optimal =
-        min_cost_cut ~requester cycles ~needed ~release_cost ~eligible ~immune
+        min_cost_cut r ~requester:req ~release_cost ~eligible ~immune
       in
-      decision_of ~needed ~optimal ~immune chosen
+      decision_of r ~optimal ~immune chosen
   | Policy.Youngest ->
-      let pick cycle =
-        let candidates = pickable cycle in
+      (* The latest entrant among the pickable members, seeded with the
+         requester when it is pickable (else the first of them); ties
+         keep the earlier. *)
+      let pick c =
+        let candidates = pickable r ~immune c in
         let seed =
-          if List.exists (fun (m, _) -> Txn_id.equal m requester) candidates
-          then (requester, entry_order requester)
-          else
-            match candidates with
-            | (m, _) :: _ -> (m, entry_order m)
-            | [] -> (requester, entry_order requester)
+          if List.exists (Int.equal req) candidates then req
+          else List.hd candidates
         in
-        fst
-          (List.fold_left
-             (fun ((_, best) as acc) (m, e) ->
-               if entry_order m > best then (m, entry_order m)
-               else (ignore e; acc))
-             seed candidates)
+        let order i = entry_order r.ids.(i) in
+        List.fold_left
+          (fun best i -> if order i > order best then i else best)
+          seed candidates
       in
-      decision_of ~needed ~optimal:false ~immune (iterative_pick cycles pick)
+      decision_of r ~optimal:false ~immune (iterative_pick r pick)
   | Policy.Random_victim ->
-      let pick cycle = fst (Rng.pick rng (Array.of_list (pickable cycle))) in
-      decision_of ~needed ~optimal:false ~immune (iterative_pick cycles pick)
+      let pick c =
+        let candidates = pickable r ~immune c in
+        List.nth candidates (Rng.int rng (List.length candidates))
+      in
+      decision_of r ~optimal:false ~immune (iterative_pick r pick)
+
+let choose ?immune ~policy ~requester ~entry_order ~release_cost ~rng cycles =
+  if cycles = [] then invalid_arg "Resolver.choose: no cycles";
+  List.iter
+    (fun cycle ->
+      if not (List.exists (fun (m, _) -> Txn_id.equal m requester) cycle) then
+        invalid_arg "Resolver.choose: requester missing from a cycle")
+    cycles;
+  decide ?immune ~policy ~requester ~entry_order ~release_cost ~rng
+    (Round.of_cycles cycles)

@@ -10,9 +10,11 @@
     requester (Section 3.2), making the optimum a minimum-cost vertex cut
     which we solve exactly when small and greedily otherwise.
 
-    The resolver is pure: it never mutates the scheduler's state, which
-    makes policies unit-testable against hand-built cycle sets (the
-    figures). *)
+    The engines hand the resolver a {!Prb_graph.Round} the cycle
+    enumerator filled ({!decide}); {!choose} takes the same cycles as
+    labelled lists and builds the round. The resolver never mutates the
+    scheduler's state, which makes policies unit-testable against
+    hand-built cycle sets (the figures). *)
 
 type txn = int
 type entity = Prb_storage.Store.entity
@@ -54,3 +56,17 @@ val choose :
     non-immune members of each cycle; a cycle whose members are all immune
     falls back to them and the decision reports [starved_fallback].
     Defaults to no one, which leaves every policy's choice unchanged. *)
+
+val decide :
+  ?immune:(txn -> bool) ->
+  policy:Policy.t ->
+  requester:txn ->
+  entry_order:(txn -> int) ->
+  release_cost:(txn -> entity list -> int) ->
+  rng:Prb_util.Rng.t ->
+  Prb_graph.Round.t ->
+  decision
+(** {!choose} over a round: the round holds at least one cycle, and the
+    requester is a member of every one (unchecked — the waits-for
+    enumerator guarantees both). Writes the round's cut-solver fields
+    only, so its cycles can still be read afterwards. *)

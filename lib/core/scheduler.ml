@@ -8,6 +8,7 @@ module History = Prb_history.History
 module Pqueue = Prb_util.Dense.Pqueue
 module Txn_id = Prb_txn.Txn_id
 module Fault = Prb_fault.Fault
+module Round = Prb_graph.Round
 
 type intervention =
   | Detect
@@ -215,6 +216,8 @@ let check_seconds t = Kernel.check_seconds t.k
 let check_calls t = t.k.check_calls
 let enumerate_seconds t = Kernel.enumerate_seconds t.k
 let enumerate_calls t = t.k.enumerate_calls
+let cut_nodes t = Kernel.cut_nodes t.k
+let cut_cycles t = Kernel.cut_cycles t.k
 let n_blocked_tracked t = t.k.n_blocked
 
 let schedule t id =
@@ -317,20 +320,22 @@ let[@lint.allow
       grant fast path"] self_restart t id =
   Rollback.restart t id ~at:(t.k.tick + 1)
 
-(* One resolution round: count it, pick victims, apply the rollbacks. *)
+(* One resolution round: count it, pick victims, apply the rollbacks.
+   The hook's list view of the round is built only when a hook is
+   installed. *)
 let[@lint.allow
      "A1: a resolution round builds the resolver decision and applies \
       the victims' rollbacks; it runs only on a detected \
-      deadlock"] resolve_round t requester cycles =
+      deadlock"] resolve_round t requester (round : Round.t) =
   Log.info (fun m ->
-      m "[%d] deadlock: %d cycle(s) through T%d" t.k.tick (List.length cycles)
+      m "[%d] deadlock: %d cycle(s) through T%d" t.k.tick round.ncyc
         requester);
-  t.cycles_broken <- t.cycles_broken + List.length cycles;
-  let decision = Kernel.choose t.k requester cycles in
+  t.cycles_broken <- t.cycles_broken + round.ncyc;
+  let decision = Kernel.choose t.k requester round in
   if decision.Resolver.optimal then
     t.optimal_resolutions <- t.optimal_resolutions + 1;
   (match t.deadlock_hook with
-  | Some hook -> hook ~requester ~cycles ~decision
+  | Some hook -> hook ~requester ~cycles:(Round.to_cycles round) ~decision
   | None -> ());
   Rollback.apply_victims t decision
 
@@ -390,34 +395,40 @@ let[@lint.allow
 
 (* One cycle-handling step of the fixpoint: victim selection over the
    cycles through the first candidate that yields any within budget.
-   Returns whether a round was applied (and the fixpoint must rerun). *)
+   Returns whether a round was applied (and the fixpoint must rerun).
+   Enumeration refills the kernel's round in place; the first candidate
+   whose round holds a cycle is resolved from it. *)
+let rec rd_mem (v : int) = function
+  | [] -> false
+  | h :: rest -> h = v || rd_mem v rest
+
+let rec rd_first t (skip : int) = function
+  | [] -> -1
+  | b :: rest ->
+      if b <> skip && (Kernel.cycles t.k b).Round.ncyc > 0 then b
+      else rd_first t skip rest
+
 let[@lint.allow
-     "A1: runs only when the seeded SCC pass reported a cycle — cycle \
-      enumeration and victim selection allocate their reports by \
-      design"] rd_round t primary on_cycle =
-  let candidates =
+     "A1: runs only when the seeded SCC pass reported a cycle; the \
+      resolver's decision and the rollbacks it applies allocate, while \
+      enumeration refills the kernel's round in place"] rd_round t primary
+    on_cycle =
+  let requester =
     match primary with
-    | Some p when List.exists (Txn_id.equal p) on_cycle ->
-        p :: List.filter (fun v -> not (Txn_id.equal v p)) on_cycle
-    | Some _ | None -> on_cycle
+    | Some p when rd_mem p on_cycle && (Kernel.cycles t.k p).Round.ncyc > 0 ->
+        p
+    | Some p -> rd_first t p on_cycle
+    | None -> rd_first t (-1) on_cycle
   in
-  let cycle_site =
-    List.find_map
-      (fun b ->
-        match Kernel.cycles t.k b with
-        | [] -> None
-        | cycles -> Some (b, cycles))
-      candidates
-  in
-  match cycle_site with
-  | None ->
-      (* Cycle enumeration hit its budget everywhere it looked: leave the
-         dirty set in place so the next resolution revisits these
-         transactions. *)
-      false
-  | Some (requester, cycles) ->
-      resolve_round t requester cycles;
-      true
+  if requester < 0 then
+    (* Cycle enumeration hit its budget everywhere it looked: leave the
+       dirty set in place so the next resolution revisits these
+       transactions. *)
+    false
+  else begin
+    resolve_round t requester t.k.Kernel.round;
+    true
+  end
 
 let rec rd_fixpoint t primary round =
   if round > 1000 then raise (Stuck "deadlock resolution did not converge");
@@ -455,14 +466,15 @@ let resolve_probe t id =
           if List.exists (Txn_id.equal id) on_cycle then id
           else List.fold_left min (List.hd on_cycle) on_cycle
         in
-        match Kernel.cycles t.k requester with
-        | [] ->
-            (* enumeration budget exhausted; leave it to the watchdog's
-               full sweep rather than spinning here *)
-            continue_ := false
-        | cycles ->
-            found := true;
-            resolve_round t requester cycles)
+        let round = Kernel.cycles t.k requester in
+        if round.Round.ncyc = 0 then
+          (* enumeration budget exhausted; leave it to the watchdog's
+             full sweep rather than spinning here *)
+          continue_ := false
+        else begin
+          found := true;
+          resolve_round t requester round
+        end)
   done;
   !found
 

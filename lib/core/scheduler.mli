@@ -158,6 +158,15 @@ val enumerate_calls : t -> int
 (** Cycle enumerations run (one per resolution attempt that got past the
     boolean check). *)
 
+val cut_nodes : t -> int
+(** Branch-and-bound nodes the cut solver expanded over the run: a
+    deterministic measure of victim-selection search, unlike its wall
+    time. Not printed by {!pp_stats}. *)
+
+val cut_cycles : t -> int
+(** Cycles handed to the cut solver over the run (every cycle of every
+    round a cut policy solved). Not printed by {!pp_stats}. *)
+
 val n_blocked_tracked : t -> int
 (** Size of the internal blocked-since table (every currently-blocked
     transaction, whatever the intervention) — exposed so tests can assert

@@ -10,6 +10,7 @@ module Policy = Prb_core.Policy
 module Detection_policy = Prb_core.Detection_policy
 module Kernel = Prb_core.Kernel
 module Fault = Prb_fault.Fault
+module Round = Prb_graph.Round
 
 type detection = Local_then_global of int | Wound_wait
 
@@ -224,6 +225,8 @@ let create ?site_of config store =
 let site_of t e = t.site_fn e
 let waits_for t = t.k.wfg
 let lock_table t = t.k.locks
+let cut_nodes t = Kernel.cut_nodes t.k
+let cut_cycles t = Kernel.cut_cycles t.k
 let now t = t.k.tick
 let n_committed t = t.k.commits
 let all_committed t = Kernel.all_committed t.k
@@ -434,20 +437,17 @@ end)
 
 (* --- Cycle detection ------------------------------------------------- *)
 
-let is_local_cycle t cycle =
-  match cycle with
-  | [] -> true
-  | (_, e0) :: rest ->
-      let s = site_of t e0 in
-      List.for_all (fun (_, e) -> site_of t e = s) rest
+(* Cycle [c] of the round is local: every arc label lives on the site of
+   the first. *)
+let is_local_cycle t (r : Round.t) c = Round.same_arcs r c t.site_fn
 
 (* Under a deferred detection policy every round — the global rounds and
    the site-local block-time rounds alike — is a deferred round of the
    kernel: it enumerates at most [Kernel.deferred_cycle_budget] cycles,
    routes several of them through the minimum-cost vertex cut (see
    [Kernel.choose]), and backs off or escalates its repeat victims. *)
-let resolve_cycles t requester cycles =
-  Rollback.apply_victims t (Kernel.choose t.k requester cycles)
+let resolve_cycles t requester round =
+  Rollback.apply_victims t (Kernel.choose t.k requester round)
 
 (* Local detection at block time: a site resolves instantly any cycle
    whose contested entities all live on it. The site-restricted probe
@@ -460,10 +460,11 @@ let rec resolve_local t requester round =
     Waits_for.is_blocked t.k.wfg requester
     && Kernel.on_site_cycle t.k ~site_of:t.site_fn requester
   then begin
-    let local = List.filter (is_local_cycle t) (Kernel.cycles t.k requester) in
-    if local <> [] then begin
+    let cycles = Kernel.cycles t.k requester in
+    Round.filter cycles (is_local_cycle t cycles);
+    if cycles.Round.ncyc > 0 then begin
       t.local_deadlocks <- t.local_deadlocks + 1;
-      resolve_cycles t requester local;
+      resolve_cycles t requester cycles;
       resolve_local t requester (round + 1)
     end
   end
@@ -479,19 +480,25 @@ let blocked_txns t =
     (Waits_for.txns t.k.wfg)
 
 (* The deadlock a global round resolves next: the lowest blocked
-   transaction with a cycle the coordinator can see, with those cycles.
+   transaction with a cycle the coordinator can see, its visible cycles
+   left in the kernel's round.
    One cycle-membership census, seeded with every blocked transaction,
    narrows the walk to the transactions that lie on a cycle at all —
    exactly those whose enumeration is non-empty — so the ascending walk
    picks what a scan enumerating every blocked transaction would, while
    enumerating only where a cycle exists. *)
-let next_global_deadlock t ~visible =
-  List.find_map
+let next_deadlock t ~visible =
+  List.find_opt
     (fun b ->
-      match List.filter visible (Kernel.cycles t.k b) with
-      | [] -> None
-      | cycles -> Some (b, cycles))
+      let round = Kernel.cycles t.k b in
+      Round.filter round (visible round);
+      round.Round.ncyc > 0)
     (Kernel.on_cycle_from t.k (blocked_txns t))
+
+let next_global_deadlock t ~visible =
+  Option.map
+    (fun b -> (b, Round.to_cycles t.k.Kernel.round))
+    (next_deadlock t ~visible:(fun r c -> visible (Round.cycle r c)))
 
 (* Global detector: every site ships its waits-for edges to a coordinator
    which resolves everything it sees, local or not. Under a fault plan a
@@ -504,7 +511,7 @@ let run_global_detection t =
     match t.faults with
     | None ->
         t.messages <- t.messages + t.cfg.n_sites;
-        fun _ -> true
+        fun _ _ -> true
     | Some f ->
         let vis =
           Array.init t.cfg.n_sites (fun s ->
@@ -514,17 +521,17 @@ let run_global_detection t =
                 Fault.shipment_arrives f ~tick:t.k.tick
               end)
         in
-        fun cycle -> List.for_all (fun (_, e) -> vis.(site_of t e)) cycle
+        fun r c -> Round.all_arcs r c (fun e -> vis.(site_of t e))
   in
   let round = ref 0 in
   let rec fixpoint () =
     incr round;
     if !round > 1000 then raise (Stuck "global detection did not converge");
-    match next_global_deadlock t ~visible:cycle_visible with
+    match next_deadlock t ~visible:cycle_visible with
     | None -> ()
-    | Some (requester, cycles) ->
+    | Some requester ->
         t.global_deadlocks <- t.global_deadlocks + 1;
-        resolve_cycles t requester cycles;
+        resolve_cycles t requester t.k.Kernel.round;
         fixpoint ()
   in
   fixpoint ()

@@ -149,6 +149,13 @@ val waits_for : t -> Prb_wfg.Waits_for.t
 val lock_table : t -> Prb_lock.Lock_table.t
 (** Live view — do not mutate. *)
 
+val cut_nodes : t -> int
+(** Branch-and-bound nodes the cut solver expanded over the run; not in
+    {!stats}, so {!pp_stats} output is unchanged. *)
+
+val cut_cycles : t -> int
+(** Cycles handed to the cut solver over the run. *)
+
 val next_global_deadlock :
   t ->
   visible:((int * Prb_storage.Store.entity) list -> bool) ->
@@ -160,7 +167,8 @@ val next_global_deadlock :
     enumerating its cycles, but driven by one cycle-membership census,
     so only transactions on a cycle are enumerated. Bills the census to
     [check_calls] and each enumeration to [enumerate_calls]; resolves
-    nothing. *)
+    nothing. A list view of the engine's own global-round pick, which
+    filters the kernel's resolution round in place. *)
 
 type stats = {
   ticks : int;

@@ -8,246 +8,232 @@ let is_cut t set =
   let s = Iset.of_list set in
   List.for_all (fun cycle -> List.exists (fun v -> Iset.mem v s) cycle) t.cycles
 
-(* Both solvers run on a prepared flat form of the instance: candidate
-   vertices deduped ascending, the cost function evaluated once per
-   candidate (it is pure but arbitrarily expensive — the resolver's cost
-   walks rollback targets per call, so memoising it here is the bulk of
-   the E13 high-contention win), and per-candidate bitmasks over the
-   cycle list so "which cycles does this set hit" is word-parallel
-   instead of a list scan per (vertex, cycle) pair. Search order, tie
-   breaks and the float pruning epsilons are exactly the original
-   list/Iset solver's, so every decision — including which of several
-   optima is found first, and the node at which the budget trips — is
-   unchanged. *)
-type prep = {
-  verts : int array;  (* candidate vertex ids, ascending *)
-  costs : float array;  (* costs.(i) = cost verts.(i) *)
-  ncyc : int;
-  nwords : int;  (* words of 63 bits covering the cycle list *)
-  vmask : int array array;  (* vmask.(i): cycles containing verts.(i) *)
-  vert_cycs : int array array;  (* per candidate: cycle indices, ascending *)
-  cyc_verts : int array array;  (* per cycle: candidate indices, ascending *)
-  full : int array;  (* mask with one bit per cycle *)
-}
+(* Both solvers run on a round (DESIGN §15): cycle [c] offers the members
+   of its [hit] bitset, and the candidates are the members of any of
+   them. Members are ranked by vertex id, so ascending member order is
+   the original solver's tie-break order. Preparation evaluates the cost
+   once per candidate, in ascending order, and transposes the [hit] sets
+   into one bitmask of cycles per member, so "which cycles does this set
+   hit" is word-parallel. Search order, tie breaks and the float pruning
+   epsilons are exactly the original list solver's, so every decision —
+   including which of several optima is found first, and the node at
+   which the budget trips — is unchanged. *)
 
 let rec popcount_ x acc =
   if x = 0 then acc else popcount_ (x land (x - 1)) (acc + 1)
 
 let popcount x = popcount_ x 0
 
-let rec vert_index_ (verts : int array) v lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) / 2 in
-    if verts.(mid) < v then vert_index_ verts v (mid + 1) hi
-    else vert_index_ verts v lo mid
+(* Index of the lowest set bit of a non-zero word. *)
+let rec lowest_bit_ x b =
+  if x land 1 <> 0 then b else lowest_bit_ (x lsr 1) (b + 1)
 
-let vert_index verts v = vert_index_ verts v 0 (Array.length verts)
+let lowest_bit x = lowest_bit_ x 0
 
-(* Shift-insert [v] into the sorted prefix [a.(0..n-1)]; returns the new
-   prefix length. The candidate sets here are tiny (bounded by the
-   multiprogramming level) while the cycle stream is long, so binary
-   search plus an occasional shift beats a comparison sort of the whole
-   stream. *)
-let sorted_insert_distinct (a : int array) n v =
-  let p = vert_index_ a v 0 n in
-  if p < n && a.(p) = v then n
-  else begin
-    Array.blit a p a (p + 1) (n - p);
-    a.(p) <- v;
-    n + 1
-  end
-
-let prepare t =
-  let ncyc = List.length t.cycles in
-  let nwords = max 1 ((ncyc + 62) / 63) in
-  (* Flatten the cycle lists once: vertex ids into one buffer with cycle
-     boundaries, accumulating the sorted distinct candidate set as the
-     stream goes by. *)
-  let total = List.fold_left (fun acc c -> acc + List.length c) 0 t.cycles in
-  let flat = Array.make (max 1 total) 0 in
-  let bounds = Array.make (ncyc + 1) 0 in
-  let cand = Array.make (max 1 total) 0 in
-  let ncand = ref 0 in
-  let pos = ref 0 in
-  List.iteri
-    (fun c cycle ->
-      bounds.(c) <- !pos;
-      List.iter
-        (fun v ->
-          flat.(!pos) <- v;
-          incr pos;
-          ncand := sorted_insert_distinct cand !ncand v)
-        cycle;
-      bounds.(c + 1) <- !pos)
-    t.cycles;
-  let ncand = !ncand in
-  let verts = Array.sub cand 0 ncand in
-  let costs = Array.init ncand (fun i -> t.cost verts.(i)) in
-  let vmask = Array.init ncand (fun _ -> Array.make nwords 0) in
-  let cyc_verts =
-    let buf = Array.make (max 1 ncand) 0 in
-    Array.init ncyc (fun c ->
-        let m = ref 0 in
-        for k = bounds.(c) to bounds.(c + 1) - 1 do
-          m := sorted_insert_distinct buf !m (vert_index verts flat.(k))
-        done;
-        let members = Array.sub buf 0 !m in
-        Array.iter
-          (fun i ->
-            vmask.(i).(c / 63) <- vmask.(i).(c / 63) lor (1 lsl (c mod 63)))
-          members;
-        members)
-  in
-  let vert_cycs =
-    Array.init ncand (fun i ->
-        let acc = ref [] in
-        for c = ncyc - 1 downto 0 do
-          if vmask.(i).(c / 63) land (1 lsl (c mod 63)) <> 0 then
-            acc := c :: !acc
-        done;
-        Array.of_list !acc)
-  in
-  let full = Array.make nwords 0 in
-  for c = 0 to ncyc - 1 do
-    full.(c / 63) <- full.(c / 63) lor (1 lsl (c mod 63))
+let prepare (r : Round.t) ~cwords cost =
+  let w = r.words in
+  Round.size_solver r ~cwords;
+  Array.fill r.cand 0 w 0;
+  Array.fill r.vmask 0 (r.n * cwords) 0;
+  Array.fill r.full 0 cwords 0;
+  for c = 0 to r.ncyc - 1 do
+    let cw = c / 63 and cb = 1 lsl (c mod 63) in
+    r.full.(cw) <- r.full.(cw) lor cb;
+    for k = 0 to w - 1 do
+      let m = r.hit.((c * w) + k) in
+      r.cand.(k) <- r.cand.(k) lor m;
+      let m = ref m in
+      while !m <> 0 do
+        let i = (k * 63) + lowest_bit !m in
+        m := !m land (!m - 1);
+        let v = (i * cwords) + cw in
+        r.vmask.(v) <- r.vmask.(v) lor cb
+      done
+    done
   done;
-  { verts; costs; ncyc; nwords; vmask; vert_cycs; cyc_verts; full }
+  for i = 0 to r.n - 1 do
+    if Round.mem r.cand 0 i then r.costs.(i) <- cost i
+  done
 
 (* Cycles hit by candidate [i] among the still-alive cycles. *)
-let hits_alive p covered i =
+let hits_alive (r : Round.t) cwords i =
   let n = ref 0 in
-  for w = 0 to p.nwords - 1 do
-    n := !n + popcount (p.vmask.(i).(w) land lnot covered.(w))
+  for w = 0 to cwords - 1 do
+    n := !n + popcount (r.vmask.((i * cwords) + w) land lnot r.covered.(w))
   done;
   !n
 
-let all_covered p covered =
+let all_covered (r : Round.t) cwords =
   let ok = ref true in
-  for w = 0 to p.nwords - 1 do
-    if covered.(w) land p.full.(w) <> p.full.(w) then ok := false
+  for w = 0 to cwords - 1 do
+    if r.covered.(w) land r.full.(w) <> r.full.(w) then ok := false
   done;
   !ok
 
 (* Index of the first cycle not hit by the chosen set, or [-1]. The cycle
-   list order is the branching order of the original solver, so it must
-   be the lowest cycle index, not just any uncovered one. *)
-let first_surviving p covered =
-  let r = ref (-1) in
-  let w = ref 0 in
-  while !r < 0 && !w < p.nwords do
-    let miss = p.full.(!w) land lnot covered.(!w) in
-    if miss <> 0 then begin
-      let bit = ref 0 in
-      while miss land (1 lsl !bit) = 0 do
-        incr bit
-      done;
-      r := (!w * 63) + !bit
-    end;
-    incr w
-  done;
-  !r
+   order is the branching order of the original solver, so it must be
+   the lowest cycle index, not just any uncovered one. *)
+let first_surviving (r : Round.t) cwords =
+  let rec go w =
+    if w >= cwords then -1
+    else
+      let miss = r.full.(w) land lnot r.covered.(w) in
+      if miss <> 0 then (w * 63) + lowest_bit miss else go (w + 1)
+  in
+  go 0
 
-let chosen_elements p chosen =
-  let acc = ref [] in
-  for i = Array.length p.verts - 1 downto 0 do
-    if chosen.(i) then acc := p.verts.(i) :: !acc
-  done;
-  !acc
-
-(* Greedy hitting set over the prepared instance; identical pick sequence
-   to the classic fold: candidates of the alive cycles ascending, a
+(* Greedy hitting set into [r.cut]; identical pick sequence to the
+   classic fold: candidates of the alive cycles ascending, a
    strictly-better-by-1e-12 score replaces, so the lowest vertex wins
    ties. *)
-let greedy_prepared p =
-  let ncand = Array.length p.verts in
-  let chosen = Array.make ncand false in
-  let covered = Array.make p.nwords 0 in
+let greedy_prepared (r : Round.t) cwords =
+  Array.fill r.cut 0 r.words 0;
+  Array.fill r.covered 0 cwords 0;
   let rec loop () =
-    if not (all_covered p covered) then begin
+    if not (all_covered r cwords) then begin
       let best = ref (-1) in
       let best_score = ref 0.0 in
-      for i = 0 to ncand - 1 do
-        let hits = hits_alive p covered i in
-        if hits > 0 then begin
-          let score = float_of_int hits /. Float.max p.costs.(i) 1e-9 in
-          if !best < 0 || score > !best_score +. 1e-12 then begin
-            best := i;
-            best_score := score
+      for i = 0 to r.n - 1 do
+        if Round.mem r.cand 0 i then begin
+          let hits = hits_alive r cwords i in
+          if hits > 0 then begin
+            let score = float_of_int hits /. Float.max r.costs.(i) 1e-9 in
+            if !best < 0 || score > !best_score +. 1e-12 then begin
+              best := i;
+              best_score := score
+            end
           end
         end
       done;
-      (* [best < 0] would mean an alive cycle with no members: impossible
-         (cycles are non-empty vertex lists). *)
-      if !best >= 0 then begin
-        chosen.(!best) <- true;
-        for w = 0 to p.nwords - 1 do
-          covered.(w) <- covered.(w) lor p.vmask.(!best).(w)
+      (* [best < 0]: an alive cycle offers no candidate, which only an
+         empty cycle of a list instance does *)
+      let b = !best in
+      if b >= 0 then begin
+        r.cut.(b / 63) <- r.cut.(b / 63) lor (1 lsl (b mod 63));
+        for w = 0 to cwords - 1 do
+          r.covered.(w) <- r.covered.(w) lor r.vmask.((b * cwords) + w)
         done;
         loop ()
       end
     end
   in
-  loop ();
-  chosen_elements p chosen
-
-let greedy t = greedy_prepared (prepare t)
+  loop ()
 
 exception Budget_exhausted
 
-let exact ?(node_budget = 1_000_000) t =
-  (* Branch and bound on the first surviving cycle: one branch per vertex of
-     that cycle. Upper bound initialised by the greedy solution. *)
-  let p = prepare t in
-  let ncand = Array.length p.verts in
-  let greedy_set = greedy_prepared p in
-  let best_set = ref greedy_set in
-  let best_cost =
-    ref (List.fold_left (fun acc v -> acc +. t.cost v) 0.0 greedy_set)
-  in
-  let nodes = ref 0 in
-  let chosen = Array.make ncand false in
-  let covered = Array.make p.nwords 0 in
-  (* Per-cycle hit counts back the covered bitmap out on backtrack: a
-     cycle's bit clears only when its last chosen member leaves. *)
-  let hit_count = Array.make (max 1 p.ncyc) 0 in
-  let add i =
-    chosen.(i) <- true;
-    Array.iter
-      (fun c ->
-        hit_count.(c) <- hit_count.(c) + 1;
-        if hit_count.(c) = 1 then
-          covered.(c / 63) <- covered.(c / 63) lor (1 lsl (c mod 63)))
-      p.vert_cycs.(i)
-  in
-  let remove i =
-    chosen.(i) <- false;
-    Array.iter
-      (fun c ->
-        hit_count.(c) <- hit_count.(c) - 1;
-        if hit_count.(c) = 0 then
-          covered.(c / 63) <- covered.(c / 63) land lnot (1 lsl (c mod 63)))
-      p.vert_cycs.(i)
-  in
-  let rec search chosen_cost =
-    incr nodes;
-    if !nodes > node_budget then raise Budget_exhausted;
-    if chosen_cost < !best_cost -. 1e-12 then begin
-      match first_surviving p covered with
-      | -1 ->
-          best_set := chosen_elements p chosen;
-          best_cost := chosen_cost
-      | cyc ->
-          Array.iter
-            (fun i ->
-              if not chosen.(i) then begin
-                add i;
-                search (chosen_cost +. p.costs.(i));
-                remove i
-              end)
-            p.cyc_verts.(cyc)
+type search = {
+  r : Round.t;
+  cwords : int;
+  budget : int;
+  best : int array;  (* the incumbent, a member bitset *)
+  mutable best_cost : float;
+  mutable nodes : int;
+}
+
+(* Per-cycle hit counts back the covered bitmap out on backtrack: a
+   cycle's bit clears only when its last chosen member leaves. *)
+let add s i =
+  let r = s.r in
+  r.chosen.(i / 63) <- r.chosen.(i / 63) lor (1 lsl (i mod 63));
+  for c = 0 to r.ncyc - 1 do
+    if Round.mem r.vmask (i * s.cwords) c then begin
+      r.hit_count.(c) <- r.hit_count.(c) + 1;
+      if r.hit_count.(c) = 1 then
+        r.covered.(c / 63) <- r.covered.(c / 63) lor (1 lsl (c mod 63))
     end
+  done
+
+let remove s i =
+  let r = s.r in
+  r.chosen.(i / 63) <- r.chosen.(i / 63) land lnot (1 lsl (i mod 63));
+  for c = 0 to r.ncyc - 1 do
+    if Round.mem r.vmask (i * s.cwords) c then begin
+      r.hit_count.(c) <- r.hit_count.(c) - 1;
+      if r.hit_count.(c) = 0 then
+        r.covered.(c / 63) <- r.covered.(c / 63) land lnot (1 lsl (c mod 63))
+    end
+  done
+
+(* Branch and bound on the first surviving cycle: one branch per
+   candidate of that cycle, ascending. *)
+let rec search s chosen_cost =
+  s.nodes <- s.nodes + 1;
+  if s.nodes > s.budget then raise Budget_exhausted;
+  if chosen_cost < s.best_cost -. 1e-12 then begin
+    let r = s.r in
+    match first_surviving r s.cwords with
+    | -1 ->
+        Array.blit r.chosen 0 s.best 0 r.words;
+        s.best_cost <- chosen_cost
+    | cyc ->
+        let off = cyc * r.words in
+        for i = 0 to r.n - 1 do
+          if Round.mem r.hit off i && not (Round.mem r.chosen 0 i) then begin
+            add s i;
+            search s (chosen_cost +. r.costs.(i));
+            remove s i
+          end
+        done
+  end
+
+let solve ?(node_budget = 1_000_000) (r : Round.t) ~cost =
+  let cwords = Round.words_for r.ncyc in
+  prepare r ~cwords cost;
+  greedy_prepared r cwords;
+  (* Upper bound: the greedy solution, costed from the memoised costs. *)
+  let best_cost = ref 0.0 in
+  for i = 0 to r.n - 1 do
+    if Round.mem r.cut 0 i then best_cost := !best_cost +. r.costs.(i)
+  done;
+  let s =
+    {
+      r;
+      cwords;
+      budget = node_budget;
+      best = Array.sub r.cut 0 r.words;
+      best_cost = !best_cost;
+      nodes = 0;
+    }
   in
-  match search 0.0 with
-  | () -> Some !best_set
-  | exception Budget_exhausted -> None
+  Array.fill r.chosen 0 r.words 0;
+  Array.fill r.covered 0 cwords 0;
+  Array.fill r.hit_count 0 r.ncyc 0;
+  let exact =
+    match search s 0.0 with
+    | () ->
+        Array.blit s.best 0 r.cut 0 r.words;
+        true
+    | exception Budget_exhausted -> false
+  in
+  r.nodes <- r.nodes + s.nodes;
+  r.solved <- r.solved + r.ncyc;
+  exact
+
+(* --- The list instances, as rounds ---------------------------------- *)
+
+(* Unlabelled: every arc gets the one empty label. *)
+let round_of t =
+  let r = Round.of_cycles (List.map (List.map (fun v -> (v, ""))) t.cycles) in
+  let all = Array.make r.words (-1) in
+  Round.restrict r ~keep:all ~fallback:all ~last:(-1);
+  r
+
+let cut_ids (r : Round.t) =
+  let acc = ref [] in
+  for i = r.n - 1 downto 0 do
+    if Round.mem r.cut 0 i then acc := r.ids.(i) :: !acc
+  done;
+  !acc
+
+let greedy t =
+  let r = round_of t in
+  let cwords = Round.words_for r.ncyc in
+  prepare r ~cwords (fun i -> t.cost r.ids.(i));
+  greedy_prepared r cwords;
+  cut_ids r
+
+let exact ?node_budget t =
+  let r = round_of t in
+  if solve ?node_budget r ~cost:(fun i -> t.cost r.ids.(i)) then
+    Some (cut_ids r)
+  else None

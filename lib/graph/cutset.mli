@@ -7,7 +7,20 @@
     (believed) NP-complete, kin to feedback vertex set; accordingly we
     provide an exact exponential solver for the small instances real
     deadlocks produce, and a greedy heuristic for scale, and benchmark one
-    against the other (experiment E8/fig3). *)
+    against the other (experiment E8/fig3).
+
+    The solver runs on a {!Round}; the list instances below are built
+    into one. *)
+
+val solve : ?node_budget:int -> Round.t -> cost:(int -> float) -> bool
+(** Minimum-cost hitting set of the round's [hit] sets (see
+    {!Round.restrict}), written to its [cut] as a member bitset. [cost i]
+    is member [i]'s cost, called once per candidate. Branch and bound,
+    seeded with the greedy solution; ties broken by member index, i.e. by
+    vertex id. Returns [true] with an optimum, or [false] with the greedy
+    cut when the search exceeds [node_budget] expansions (default
+    [1_000_000]) without proving one. Adds the nodes expanded and the
+    cycles solved to the round's counters. *)
 
 type instance = {
   cycles : int list list;  (** each cycle as a list of vertex ids *)
@@ -15,11 +28,9 @@ type instance = {
 }
 
 val exact : ?node_budget:int -> instance -> int list option
-(** Branch-and-bound minimum-cost hitting set over the cycles. Returns the
-    chosen vertices sorted ascending, [None] only if the search exceeds
-    [node_budget] expansions (default [1_000_000]) without proving an
-    optimum — callers then fall back to {!greedy}. An instance with no
-    cycles yields [Some []]. Deterministic: ties broken by vertex id. *)
+(** {!solve} on the instance: the chosen vertices sorted ascending, or
+    [None] when the budget ran out — callers then fall back to {!greedy}.
+    An instance with no cycles yields [Some []]. *)
 
 val greedy : instance -> int list
 (** Classic set-cover heuristic: repeatedly remove the vertex with the best

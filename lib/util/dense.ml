@@ -15,6 +15,13 @@ let grow_int_array arr size fill =
     narr
   end
 
+let[@lint.allow
+     "A1: amortized geometric growth — allocates only when a dense array \
+      doubles, never in steady state"] grow cap fill arr =
+  let narr = Array.make cap fill in
+  Array.blit arr 0 narr 0 (Array.length arr);
+  narr
+
 module Interner = struct
   type t = {
     fwd : (string, int) Hashtbl.t;

@@ -6,6 +6,12 @@
     discipline is preserved when replay-critical modules are rebuilt on
     top of them. *)
 
+val grow : int -> 'a -> 'a array -> 'a array
+(** [grow cap fill a]: a copy of [a] widened to [cap] slots, the new ones
+    set to [fill]. The one growth step of the dense buffers that grow
+    geometrically and are reused, so their steady state allocates
+    nothing. *)
+
 module Interner : sig
   (** Maps strings (entity names) to contiguous slot ids [0, 1, 2, ...]
       in first-intern order, with O(1) reverse lookup. Ids are never

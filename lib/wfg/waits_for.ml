@@ -1,4 +1,6 @@
 module Txn_id = Prb_txn.Txn_id
+module Round = Prb_graph.Round
+module Dense = Prb_util.Dense
 
 type txn = Txn_id.t
 type entity = Prb_storage.Store.entity
@@ -55,6 +57,20 @@ type t = {
   mutable pk_f : int array; (* repair scratch: forward affected set *)
   mutable pk_b : int array; (* repair scratch: backward affected set *)
   mutable pk_pool : int array; (* repair scratch: pooled positions *)
+  (* Cycle enumeration into a {!Round}: the path being extended, the
+     strongly connected component searched (ascending after ranking) and
+     the search state. A component vertex's member index is kept in
+     [idx], which Tarjan reads only under its own stamp. *)
+  mutable path : int array;
+  mutable scc : int array;
+  mutable en_root : int;
+  mutable en_stamp : int;
+  mutable en_limit : int;
+  mutable en_budget : int;
+  mutable en_count : int;
+  mutable en_steps : int;
+  mutable en_plen : int;
+  mutable en_cut : bool; (* the limit or budget stopped the search *)
 }
 
 let create () =
@@ -85,14 +101,17 @@ let create () =
     pk_f = [||];
     pk_b = [||];
     pk_pool = [||];
+    path = [||];
+    scc = [||];
+    en_root = 0;
+    en_stamp = 0;
+    en_limit = 0;
+    en_budget = 0;
+    en_count = 0;
+    en_steps = 0;
+    en_plen = 0;
+    en_cut = false;
   }
-
-let[@lint.allow
-     "A1: amortized geometric growth — allocates only when a dense array \
-      doubles, never in steady state"] grow_int cap fill arr =
-  let narr = Array.make cap fill in
-  Array.blit arr 0 narr 0 (Array.length arr);
-  narr
 
 let[@lint.allow
      "A1: amortized geometric growth of the per-transaction arrays; a \
@@ -109,23 +128,23 @@ let[@lint.allow
     let bufs = Array.make cap [||] in
     Array.blit t.in_buf 0 bufs 0 t.cap;
     t.in_buf <- bufs;
-    t.out_len <- grow_int cap 0 t.out_len;
-    t.in_len <- grow_int cap 0 t.in_len;
+    t.out_len <- Dense.grow cap 0 t.out_len;
+    t.in_len <- Dense.grow cap 0 t.in_len;
     let nl = Array.make cap "" in
     Array.blit t.label 0 nl 0 t.cap;
     t.label <- nl;
-    t.fwd_mark <- grow_int cap 0 t.fwd_mark;
-    t.bwd_mark <- grow_int cap 0 t.bwd_mark;
-    t.seen_mark <- grow_int cap 0 t.seen_mark;
+    t.fwd_mark <- Dense.grow cap 0 t.fwd_mark;
+    t.bwd_mark <- Dense.grow cap 0 t.bwd_mark;
+    t.seen_mark <- Dense.grow cap 0 t.seen_mark;
     let nb = Array.make cap false in
     Array.blit t.on_path 0 nb 0 t.cap;
     t.on_path <- nb;
-    t.idx <- grow_int cap 0 t.idx;
-    t.low <- grow_int cap 0 t.low;
+    t.idx <- Dense.grow cap 0 t.idx;
+    t.low <- Dense.grow cap 0 t.low;
     let nb = Array.make cap false in
     Array.blit t.on_stack 0 nb 0 t.cap;
     t.on_stack <- nb;
-    t.ord <- grow_int cap 0 t.ord;
+    t.ord <- Dense.grow cap 0 t.ord;
     let nb = Array.make cap false in
     Array.blit t.orded 0 nb 0 t.cap;
     t.orded <- nb;
@@ -193,7 +212,7 @@ let mark_present t v =
     t.present.(v) <- true;
     let n = t.n_live in
     if n >= Array.length t.live then
-      t.live <- grow_int (max 64 (2 * n)) 0 t.live;
+      t.live <- Dense.grow (max 64 (2 * n)) 0 t.live;
     let p = live_pos t.live v 0 n in
     Array.blit t.live p t.live (p + 1) (n - p);
     t.live.(p) <- v;
@@ -451,7 +470,7 @@ let edges t =
 
 let stack_push t n v =
   if n >= Array.length t.stack then
-    t.stack <- grow_int (max 64 (2 * Array.length t.stack)) 0 t.stack;
+    t.stack <- Dense.grow (max 64 (2 * Array.length t.stack)) 0 t.stack;
   t.stack.(n) <- v;
   n + 1
 
@@ -553,30 +572,114 @@ let[@hot] on_site_cycle t ~site_of root =
   | _ -> false
   | exception Found -> true
 
+let scc_push t n v =
+  if n >= Array.length t.scc then
+    t.scc <- Dense.grow (max 64 (2 * Array.length t.scc)) 0 t.scc;
+  t.scc.(n) <- v;
+  n + 1
+
 (* Mark every vertex reachable from [v] along [buf]/[len] edges with
    [stamp] in [mark]. [v] itself is marked only if re-reached — exactly
    the Digraph [reach_set] convention ([root] marked forward <=> root on
-   a cycle). *)
-let reach t mark buf len stamp v =
-  let top = ref 0 in
-  let expand v =
-    let b = buf.(v) in
-    for i = 0 to len.(v) - 1 do
-      let w = b.(i) in
-      if mark.(w) <> stamp then begin
-        mark.(w) <- stamp;
-        top := stack_push t !top w
-      end
-    done
-  in
-  expand v;
-  while !top > 0 do
-    decr top;
-    expand t.stack.(!top)
-  done
+   a cycle). With [collect], every vertex marked is also appended to
+   [scc]; the number appended is returned. *)
+let rec reach_succ t (mark : int array) (buf : int array array)
+    (len : int array) stamp collect v i top n =
+  if i >= len.(v) then reach_drain t mark buf len stamp collect top n
+  else
+    let w = buf.(v).(i) in
+    if mark.(w) <> stamp then begin
+      mark.(w) <- stamp;
+      reach_succ t mark buf len stamp collect v (i + 1) (stack_push t top w)
+        (if collect then scc_push t n w else n)
+    end
+    else reach_succ t mark buf len stamp collect v (i + 1) top n
 
-let cycles_through ?(limit = 10_000) t root =
-  if root < 0 || root >= t.cap || not t.present.(root) then []
+and reach_drain t mark buf len stamp collect top n =
+  if top = 0 then n
+  else reach_succ t mark buf len stamp collect t.stack.(top - 1) 0 (top - 1) n
+
+let reach t mark buf len stamp collect v =
+  reach_succ t mark buf len stamp collect v 0 0 0
+
+(* Insertion sort of the component prefix ascending by id: components
+   are bounded by the blocked transactions, and the helper stays int-typed
+   and closure-free. *)
+let rec scc_shift (a : int array) j (v : int) =
+  if j >= 0 && a.(j) > v then begin
+    a.(j + 1) <- a.(j);
+    scc_shift a (j - 1) v
+  end
+  else a.(j + 1) <- v
+
+(* Keep the collected vertices that also reach the root (the component),
+   ascending. *)
+let rec scc_keep t stamp i n kept =
+  if i >= n then kept
+  else
+    let v = t.scc.(i) in
+    if t.bwd_mark.(v) = stamp then begin
+      t.scc.(kept) <- v;
+      scc_shift t.scc (kept - 1) v;
+      scc_keep t stamp (i + 1) n (kept + 1)
+    end
+    else scc_keep t stamp (i + 1) n kept
+
+let path_push t v =
+  let n = t.en_plen in
+  if n >= Array.length t.path then
+    t.path <- Dense.grow (max 16 (2 * Array.length t.path)) 0 t.path;
+  t.path.(n) <- v;
+  t.en_plen <- n + 1
+
+let exhausted t = t.en_count >= t.en_limit || t.en_steps >= t.en_budget
+
+(* The cycle [path.(0) = root; path.(1); ...] closes back at the root.
+   It enters the round in the resolver's cycle order — [path.(1)] first,
+   the root last — each member paired with its predecessor, whose wait
+   entity labels the arc into it. *)
+let record t (r : Round.t) =
+  let n = t.en_plen in
+  for j = 1 to n - 1 do
+    Round.add_arc r ~member:t.idx.(t.path.(j)) ~label:t.idx.(t.path.(j - 1))
+  done;
+  Round.add_arc r ~member:t.idx.(t.en_root) ~label:t.idx.(t.path.(n - 1));
+  Round.close_cycle r;
+  t.en_count <- t.en_count + 1
+
+(* Depth-first search for simple cycles back to the root through the
+   root's component, [v]'s out-edges from [i]. [en_steps] counts edge
+   traversals against the budget. *)
+let rec en_edges t r (v : int) i (n : int) =
+  if i < n then
+    if exhausted t then t.en_cut <- true
+    else begin
+      let w = t.out_buf.(v).(i) in
+      t.en_steps <- t.en_steps + 1;
+      if exhausted t then t.en_cut <- true
+      else begin
+        if w = t.en_root then record t r
+        else if
+          t.fwd_mark.(w) = t.en_stamp
+          && t.bwd_mark.(w) = t.en_stamp
+          && not t.on_path.(w)
+        then begin
+          t.on_path.(w) <- true;
+          path_push t w;
+          en_dfs t r w;
+          t.en_plen <- t.en_plen - 1;
+          t.on_path.(w) <- false
+        end;
+        en_edges t r v (i + 1) n
+      end
+    end
+
+and en_dfs t r v =
+  if exhausted t then t.en_cut <- true else en_edges t r v 0 t.out_len.(v)
+
+let[@hot] enumerate ~limit t root (r : Round.t) =
+  if root < 0 || root >= t.cap || not t.present.(root) then
+    Round.reset r ~members:0 ~labels:0
   else begin
     (* Every simple cycle through [root] lies inside [root]'s strongly
        connected component, so restrict the search to vertices that both
@@ -585,58 +688,45 @@ let cycles_through ?(limit = 10_000) t root =
        exponential. Truncation is safe for deadlock resolution: breaking
        the reported cycles and re-enumerating reaches the rest. *)
     let stamp = next_stamp t in
-    reach t t.fwd_mark t.out_buf t.out_len stamp root;
-    reach t t.bwd_mark t.in_buf t.in_len stamp root;
-    let in_scc v = t.fwd_mark.(v) = stamp && t.bwd_mark.(v) = stamp in
-    if t.fwd_mark.(root) <> stamp then [] (* root is on no cycle at all *)
+    let n = reach t t.fwd_mark t.out_buf t.out_len stamp true root in
+    ignore (reach t t.bwd_mark t.in_buf t.in_len stamp false root : int);
+    if t.fwd_mark.(root) <> stamp then
+      (* root is on no cycle at all *)
+      Round.reset r ~members:0 ~labels:0
     else begin
-      let budget =
-        if limit > (max_int / 200) - 50 then max_int else 200 * (limit + 50)
-      in
-      let cycles = ref [] in
-      let count = ref 0 in
-      let steps = ref 0 in
-      let path = ref [||] in
-      let plen = ref 0 in
-      let path_push v =
-        if !plen >= Array.length !path then
-          path := grow_int (max 16 (2 * Array.length !path)) 0 !path;
-        !path.(!plen) <- v;
-        incr plen
-      in
-      let record () =
-        let rec build i acc =
-          if i < 0 then acc else build (i - 1) (!path.(i) :: acc)
-        in
-        cycles := build (!plen - 1) [] :: !cycles;
-        incr count
-      in
-      let exhausted () = !count >= limit || !steps >= budget in
-      let rec dfs v =
-        if not (exhausted ()) then begin
-          let buf = t.out_buf.(v) in
-          for i = 0 to t.out_len.(v) - 1 do
-            let w = buf.(i) in
-            incr steps;
-            if not (exhausted ()) then
-              if w = root then record ()
-              else if in_scc w && not t.on_path.(w) then begin
-                t.on_path.(w) <- true;
-                path_push w;
-                dfs w;
-                decr plen;
-                t.on_path.(w) <- false
-              end
-          done
-        end
-      in
+      let m = scc_keep t stamp 0 n 0 in
+      Round.reset r ~members:m ~labels:m;
+      for i = 0 to m - 1 do
+        let v = t.scc.(i) in
+        t.idx.(v) <- i;
+        Round.set_member r i v;
+        Round.set_label r i t.label.(v)
+      done;
+      t.en_root <- root;
+      t.en_stamp <- stamp;
+      t.en_limit <- limit;
+      t.en_budget <-
+        (if limit > (max_int / 200) - 50 then max_int else 200 * (limit + 50));
+      t.en_count <- 0;
+      t.en_steps <- 0;
+      t.en_plen <- 0;
+      t.en_cut <- false;
       t.on_path.(root) <- true;
-      path_push root;
-      dfs root;
+      path_push t root;
+      en_dfs t r root;
       t.on_path.(root) <- false;
-      List.rev !cycles
+      Round.set_complete r (not t.en_cut)
     end
   end
+
+(* The list view of a round through [root]: each cycle from the root. *)
+let cycles_through ?(limit = 10_000) t root =
+  let r = Round.create () in
+  enumerate ~limit t root r;
+  List.init r.Round.ncyc (fun c ->
+      let s = r.Round.start.(c) and e = r.Round.start.(c + 1) in
+      r.Round.ids.(r.Round.seq.(e - 1))
+      :: List.init (e - 1 - s) (fun j -> r.Round.ids.(r.Round.seq.(s + j))))
 
 let mem_edge t u v =
   let buf = t.out_buf.(u) in
@@ -645,9 +735,7 @@ let mem_edge t u v =
 
 (* All of a waiter's out-edges carry its single pending entity, so the
    arc label is an edge-membership test plus one array read — no waits
-   list is built. Cycle relabelling reads one label per arc of every
-   enumerated cycle, which made the list-building lookup a measurable
-   slice of high-contention resolution. *)
+   list is built. *)
 let wait_label t u v = if mem_edge t u v then Some t.label.(u) else None
 
 (* Tarjan restricted to the subgraph reachable from the seeds; the

@@ -37,8 +37,7 @@ val waits : t -> txn -> (txn * entity) list
 
 val wait_label : t -> txn -> txn -> entity option
 (** Entity labelling the arc [waiter -> holder], if the edge is present.
-    Allocation-free (one membership scan plus an array read) — the
-    resolver relabels every arc of every enumerated cycle through this. *)
+    Allocation-free (one membership scan plus an array read). *)
 
 val waiting_on : t -> txn -> (txn * entity) list
 (** In-edges: who waits for this transaction, sorted by waiter id. *)
@@ -74,10 +73,20 @@ val on_cycle_from : t -> txn list -> txn list
     to pass through a seed — the scheduler seeds it with the transactions
     whose wait edges changed since the graph was last acyclic. *)
 
+val enumerate : limit:int -> t -> txn -> Prb_graph.Round.t -> unit
+(** Fill the round with the simple cycles containing the transaction, at
+    most [limit] of them and within an edge budget of
+    [200 * (limit + 50)] traversals — after a deadlock has materialised
+    (edges installed), these are the cycles the victim choice must break.
+    The members are the transaction's strongly connected component; each
+    cycle enters in the resolver's order, the transaction last, each
+    member's arc labelled with its predecessor's wait entity. The round is
+    [complete] unless the limit or the budget cut the search short.
+    Allocation-free once the round and the search buffers have grown. *)
+
 val cycles_through : ?limit:int -> t -> txn -> txn list list
-(** All simple cycles containing the transaction, each starting at it —
-    after a deadlock has materialised (edges installed), these are the
-    cycles the victim choice must break. *)
+(** The list view of {!enumerate} (default [limit] [10_000]): each cycle
+    as its vertices from the transaction on. *)
 
 val is_exclusive_forest : t -> bool
 (** Theorem 1 shape check for exclusive-only systems: out-degree <= 1

@@ -600,6 +600,58 @@ let with_prologue (p : Program.t) =
    [stagger + min 4096 n²] ticks late, where [n] is its prior rollback
    count and [stagger] its position among the round's victims; a victim
    with fewer prior rollbacks is rolled back partially. *)
+(* Deterministic companion to E13's wall-clock gate: the central
+   high-contention point at 1k transactions (seed 11, MPL 16, 64 hot
+   entities under Zipf 0.8, SDG, eager, [Ordered_min_cost]), driven like
+   [Sim.run]. The cut solver's branch-and-bound node count and the cycles
+   handed to it are the values the list-based solver produced before
+   resolution rounds were flattened into bitsets, so the search itself
+   did not change. *)
+let test_e13_cut_solver_counts () =
+  let params =
+    {
+      Generator.default_params with
+      n_entities = 64;
+      zipf_theta = 0.8;
+      read_fraction = 0.3;
+      min_locks = 3;
+      max_locks = 6;
+    }
+  in
+  let store = Generator.populate params in
+  let programs = ref (Generator.generate params ~seed:11 ~n:1000) in
+  let sched =
+    Scheduler.create
+      ~config:
+        {
+          Scheduler.default_config with
+          strategy = Strategy.Sdg;
+          seed = 11;
+          max_ticks = 10_000_000;
+        }
+      store
+  in
+  let submitted = ref 0 in
+  let refill () =
+    while !programs <> [] && !submitted - Scheduler.n_committed sched < 16 do
+      match !programs with
+      | p :: rest ->
+          programs := rest;
+          incr submitted;
+          ignore (Scheduler.submit sched p)
+      | [] -> ()
+    done
+  in
+  refill ();
+  while Scheduler.step sched do
+    refill ()
+  done;
+  let s = Scheduler.stats sched in
+  checki "commits" 1000 s.Scheduler.commits;
+  checki "deadlocks" 1193 s.Scheduler.deadlocks;
+  checki "branch-and-bound nodes" 4132 (Scheduler.cut_nodes sched);
+  checki "cycles solved" 37364 (Scheduler.cut_cycles sched)
+
 let test_escalation () =
   let module DP = Prb_core.Detection_policy in
   checki "threshold" 4 Prb_core.Kernel.deferred_escalation;
@@ -716,6 +768,8 @@ let () =
             test_deferred_sweep_batches_cycles;
           Alcotest.test_case "adaptive cadence" `Quick test_adaptive_cadence;
           Alcotest.test_case "deferred escalation" `Quick test_escalation;
+          Alcotest.test_case "E13 cut-solver counts" `Quick
+            test_e13_cut_solver_counts;
         ] );
       ( "liveness",
         [
