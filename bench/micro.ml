@@ -1,7 +1,9 @@
 (* Micro-benchmarks of the hot paths (bechamel): deadlock detection,
    cycle enumeration, history-stack writes, rollback execution, SDG
-   analysis. One Test.make per mechanism; estimated ns/op printed as a
-   table. *)
+   analysis, admission and commit certification. One Test.make per
+   mechanism; estimated ns/op printed as a table next to the words each
+   call allocates, which (unlike the time) does not depend on the
+   machine or on how long the run was. *)
 
 open Bechamel
 open Toolkit
@@ -230,6 +232,49 @@ let bench_rollback =
          go ();
          ignore (Txn_state.rollback_to ts 3)))
 
+(* Admission as the kernel does it: compile and create the 6-lock
+   program's state against a shared pool, then retire it (dispose hands
+   its histories back, so every create draws on a warm pool). *)
+let bench_admission =
+  let store = bench_store () in
+  let pool = History_stack.Pool.create () in
+  Test.make ~name:"admission: create+dispose 6-lock txn (pooled)"
+    (Staged.stage (fun () ->
+         Txn_state.dispose
+           (Txn_state.create ~pool ~strategy:Strategy.Sdg ~id:0 ~store
+              growing_program)))
+
+(* Commit certification in steady state: a rolling window of 20 live
+   transactions, each holding one of 64 entities exclusively; every call
+   starts one more and commits the oldest, whose release pins it in the
+   retained window until the 20 that started before it have committed
+   too — about 20 retained transactions per commit, as on a cold
+   workload. Ids cycle through 1024, long after their previous owner has
+   folded. *)
+let bench_history_commit =
+  let module History = Prb_history.History in
+  let h = History.create () in
+  let names = Array.init 64 (Printf.sprintf "H%d") in
+  let x = Prb_txn.Lock_mode.Exclusive in
+  let window = 20 in
+  let tick = ref 0 and next = ref 0 in
+  let step () =
+    incr tick;
+    let i = !next in
+    next := i + 1;
+    History.note_grant h ~tick:!tick (i land 1023) names.(i land 63) x;
+    if i >= window then begin
+      let j = i - window in
+      History.note_release h ~tick:!tick (j land 1023) names.(j land 63);
+      History.commit_txn h (j land 1023)
+    end
+  in
+  for _ = 1 to 4 * window do
+    step ()
+  done;
+  Test.make ~name:"history grant+release+commit (~20 retained)"
+    (Staged.stage step)
+
 let bench_sdg_analysis =
   Test.make ~name:"static SDG analysis (6 locks)"
     (Staged.stage (fun () -> Sdg_view.well_defined_states growing_program))
@@ -303,8 +348,34 @@ let bench_scc =
   Test.make ~name:"tarjan scc (50-cycle)"
     (Staged.stage (fun () -> Digraph.scc g))
 
+(* Words allocated per call, read with [Gc.minor_words] around a fixed
+   number of calls after a warm-up: exact for a steady-state operation.
+   Blocks too large for the minor heap are not counted. *)
+let words_per_call test =
+  let calls = 200 in
+  match Test.elements test with
+  | [ e ] -> (
+      match Test.Elt.fn e with
+      | Test.V { fn; kind = Test.Uniq; allocate; free } ->
+          let resource = allocate () in
+          let call () =
+            ignore (Sys.opaque_identity (fn `Init (Test.Uniq.prj resource)))
+          in
+          for _ = 1 to 10 do
+            call ()
+          done;
+          let w0 = Gc.minor_words () in
+          for _ = 1 to calls do
+            call ()
+          done;
+          let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+          free resource;
+          words
+      | Test.V { kind = Test.Multiple; _ } -> nan)
+  | _ -> nan
+
 let run () =
-  Common.header "MICRO" "hot-path costs (bechamel, ns/op)";
+  Common.header "MICRO" "hot-path costs (bechamel, ns/op and words/op)";
   let tests =
     [
       bench_would_deadlock;
@@ -319,6 +390,8 @@ let run () =
       bench_history_write;
       bench_txn_execute;
       bench_rollback;
+      bench_admission;
+      bench_history_commit;
       bench_sdg_analysis;
       bench_lock_grant_release;
       bench_interner;
@@ -335,10 +408,18 @@ let run () =
   in
   let table =
     Table.create
-      [ ("benchmark", Table.Left); ("ns/op", Table.Right); ("r²", Table.Right) ]
+      [
+        ("benchmark", Table.Left);
+        ("ns/op", Table.Right);
+        ("r²", Table.Right);
+        ("words/op", Table.Right);
+      ]
   in
   List.iter
     (fun test ->
+      let words =
+        Table.cell_float ~decimals:1 (words_per_call test)
+      in
       let results = Benchmark.all cfg instances test in
       let analyzed = Analyze.all ols Instance.monotonic_clock results in
       Hashtbl.iter
@@ -353,7 +434,7 @@ let run () =
             | Some r -> Table.cell_float ~decimals:4 r
             | None -> "-"
           in
-          Table.add_row table [ name; ns; r2 ])
+          Table.add_row table [ name; ns; r2; words ])
         analyzed)
     tests;
   Table.print table

@@ -53,6 +53,7 @@ let initial_txn_cap = 64
 
 let create ~fair ~strategy ~policy ~starvation_limit ~seed ~cycle_limit
     ~deferred ~clock store =
+  let locks = Lock_table.create ~fair () in
   {
     strategy;
     policy;
@@ -61,9 +62,9 @@ let create ~fair ~strategy ~policy ~starvation_limit ~seed ~cycle_limit
     deferred;
     clock;
     store;
-    locks = Lock_table.create ~fair ();
+    locks;
     wfg = Waits_for.create ();
-    hist = History.create ();
+    hist = History.create ~interner:(Lock_table.interner locks) ();
     rng = Rng.make seed;
     pool = History_stack.Pool.create ();
     txns = Array.make initial_txn_cap None;
@@ -123,8 +124,7 @@ let txn k id =
 let all_committed k = k.commits = k.next_id
 
 let unlock k id =
-  let e, final = Txn_state.perform_unlock (txn k id) in
-  (match final with Some v -> Store.install k.store e v | None -> ());
+  let e = Txn_state.perform_unlock (txn k id) in
   History.note_release k.hist ~tick:k.tick id e;
   e
 

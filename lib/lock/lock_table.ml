@@ -72,6 +72,7 @@ let create ?(fair = true) () =
   }
 
 let is_fair t = t.fair
+let interner t = t.ids
 
 let[@lint.allow "A1: amortized geometric growth, never on the steady-state path"] grow_int cap fill arr =
   let narr = Array.make cap fill in
@@ -397,18 +398,16 @@ let[@lint.allow "A1: runs only after a release or cancellation on a contended en
 
 let[@hot] release t who e =
   let fail () = invalid_arg "Lock_table.release: lock not held" in
-  match Interner.find_opt t.ids e with
-  | None -> fail ()
-  | Some eid ->
-      if eid >= Array.length t.live || not t.live.(eid) then fail ();
-      ensure_txn t who;
-      let i = find_holding t eid who in
-      if i < 0 then fail ();
-      let n = t.hold_len.(eid) in
-      t.hold_buf.(eid).(i) <- t.hold_buf.(eid).(n - 1);
-      t.hold_len.(eid) <- n - 1;
-      index_release t who eid;
-      try_grants t eid
+  let eid = Interner.find t.ids e in
+  if eid < 0 || eid >= Array.length t.live || not t.live.(eid) then fail ();
+  ensure_txn t who;
+  let i = find_holding t eid who in
+  if i < 0 then fail ();
+  let n = t.hold_len.(eid) in
+  t.hold_buf.(eid).(i) <- t.hold_buf.(eid).(n - 1);
+  t.hold_len.(eid) <- n - 1;
+  index_release t who eid;
+  try_grants t eid
 
 let[@lint.allow "A1: cancellation happens only on rollback/timeout, off the steady-state grant path; returns the regrant report"] cancel_wait t who =
   ensure_txn t who;
@@ -499,9 +498,8 @@ let waiters t e =
       end
 
 let has_waiters t e =
-  match Interner.find_opt t.ids e with
-  | None -> false
-  | Some eid -> eid < Array.length t.live && t.q_len.(eid) > 0
+  let eid = Interner.find t.ids e in
+  eid >= 0 && eid < Array.length t.live && t.q_len.(eid) > 0
 
 let holds t txn e =
   if txn < 0 || txn >= t.txn_cap then None

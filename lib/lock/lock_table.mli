@@ -38,6 +38,12 @@ val create : ?fair:bool -> unit -> t
 
 val is_fair : t -> bool
 
+val interner : t -> Prb_util.Dense.Interner.t
+(** The table's entity interner. Sharing it lets another dense structure
+    (the history certifier) index entities by the same ids without a
+    second name table. Interning through it never changes the ids the
+    table has already handed out. *)
+
 type outcome =
   | Granted
   | Blocked of txn list

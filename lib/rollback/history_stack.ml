@@ -35,6 +35,11 @@ let create ~budget ~created_at ~initial =
     peak = 1;
   }
 
+let[@lint.allow
+     "A1: a static placeholder allocated once at module initialisation; \
+      hot paths only compare against it"] none =
+  create ~budget:1 ~created_at:0 ~initial:(Value.int 0)
+
 let created_at t = t.created
 
 let current t =
@@ -174,9 +179,12 @@ module Pool = struct
 
   let create_stack = create
 
-  type t = { mutable free : stack list; mutable pooled : int }
+  (* LIFO free list on a growable array: release pushes in place, so
+     grant/release churn allocates nothing once the pool has reached the
+     high-water mark of simultaneously live stacks. *)
+  type t = { mutable free : stack array; mutable pooled : int }
 
-  let create () = { free = []; pooled = 0 }
+  let create () = { free = [||]; pooled = 0 }
 
   let reset s ~budget ~created_at ~initial =
     if budget < 1 then invalid_arg "History_stack.Pool.acquire: budget < 1";
@@ -193,16 +201,23 @@ module Pool = struct
     Array.fill s.vals 0 (Array.length s.vals) initial;
     s
 
-  let acquire t ~budget ~created_at ~initial =
-    match t.free with
-    | s :: rest ->
-        t.free <- rest;
-        t.pooled <- t.pooled - 1;
-        reset s ~budget ~created_at ~initial
-    | [] -> create_stack ~budget ~created_at ~initial
+  let[@lint.allow
+       "A1: the pool grows to its high-water mark of live stacks; past it \
+        every acquire reuses a released stack"] acquire t ~budget
+      ~created_at ~initial =
+    if t.pooled > 0 then begin
+      t.pooled <- t.pooled - 1;
+      let s = t.free.(t.pooled) in
+      reset s ~budget ~created_at ~initial
+    end
+    else create_stack ~budget ~created_at ~initial
 
-  let release t s =
-    t.free <- s :: t.free;
+  let[@lint.allow
+       "A1: amortized geometric growth of the free list; a release \
+        below capacity writes in place"] release t s =
+    if t.pooled >= Array.length t.free then
+      t.free <- Prb_util.Dense.grow (max 16 (2 * t.pooled)) s t.free;
+    t.free.(t.pooled) <- s;
     t.pooled <- t.pooled + 1
 
   let n_pooled t = t.pooled

@@ -29,6 +29,11 @@ val create :
     entity's lock request index, or 0 for locals).
     @raise Invalid_argument if [budget < 1]. *)
 
+val none : t
+(** A placeholder for the empty slots of an array of histories, told
+    apart by physical equality ([==]). It must never be written, truncated
+    or pooled. *)
+
 val created_at : t -> int
 
 val current : t -> Prb_storage.Value.t

@@ -25,10 +25,7 @@ let of_list bindings =
 
 let mem t e = Hashtbl.mem t.table e
 
-let get t e =
-  match Hashtbl.find_opt t.table e with
-  | Some v -> v
-  | None -> raise Not_found
+let get t e = Hashtbl.find t.table e
 
 let find_opt t e = Hashtbl.find_opt t.table e
 

@@ -179,15 +179,22 @@ let test_bounded_retention_long_run () =
 
 (* --- Differential property vs the naive construction ------------------ *)
 
-(* Replay one random API trace into both implementations. Ticks are
-   monotone (the engines' precondition), transaction ids are never
-   reused, and the trace mixes S/X grants, releases, discards, whole-txn
-   discards and commits — including lock-manager-impossible overlapping
-   X grants, which must be flagged identically. *)
-let replay_random_trace seed =
+(* One random API trace. Ticks are monotone (the engines'
+   precondition), transaction ids are never reused, and the trace mixes
+   S/X grants, releases, discards, whole-txn discards and commits —
+   including lock-manager-impossible overlapping X grants, which must be
+   flagged identically. *)
+type op =
+  | Grant of int * int * string * Lock_mode.t  (** tick, txn, entity, mode *)
+  | Release of int * int * string
+  | Discard of int * string
+  | Discard_txn of int
+  | Commit of int
+
+let random_trace seed =
   let rng = Rng.make seed in
-  let stream = History.create () in
-  let naive = Naive.create () in
+  let trace = ref [] in
+  let emit op = trace := op :: !trace in
   let entities = [| "a"; "b"; "c"; "d" |] in
   let tick = ref 0 in
   let next_id = ref 0 in
@@ -199,8 +206,7 @@ let replay_random_trace seed =
     let e = entities.(Rng.int rng (Array.length entities)) in
     let m = if Rng.chance rng 0.4 then s else x in
     bump ();
-    History.note_grant stream ~tick:!tick id e m;
-    Naive.note_grant naive ~tick:!tick id e m;
+    emit (Grant (!tick, id, e, m));
     let l = Hashtbl.find open_of id in
     if not (List.mem e !l) then l := e :: !l
   in
@@ -230,13 +236,9 @@ let replay_random_trace seed =
                 opens := rest;
                 if Rng.chance rng 0.75 then begin
                   bump ();
-                  History.note_release stream ~tick:!tick id e;
-                  Naive.note_release naive ~tick:!tick id e
+                  emit (Release (!tick, id, e))
                 end
-                else begin
-                  History.discard stream id e;
-                  Naive.discard naive id e
-                end))
+                else emit (Discard (id, e))))
     | 8 -> (
         (* commit: close every open interval first *)
         match !active with
@@ -247,14 +249,12 @@ let replay_random_trace seed =
             List.iter
               (fun e ->
                 bump ();
-                History.note_release stream ~tick:!tick id e;
-                Naive.note_release naive ~tick:!tick id e)
+                emit (Release (!tick, id, e)))
               !opens;
             opens := [];
             active := List.filter (fun i -> i <> id) !active;
             Hashtbl.remove open_of id;
-            History.commit_txn stream id;
-            Naive.commit_txn naive id)
+            emit (Commit id))
     | _ -> (
         match !active with
         | [] -> ()
@@ -262,8 +262,7 @@ let replay_random_trace seed =
             let id = List.nth l (Rng.int rng (List.length l)) in
             active := List.filter (fun i -> i <> id) !active;
             Hashtbl.remove open_of id;
-            History.discard_txn stream id;
-            Naive.discard_txn naive id)
+            emit (Discard_txn id))
   done;
   (* Drain: commit every still-active transaction. *)
   List.iter
@@ -272,12 +271,35 @@ let replay_random_trace seed =
       List.iter
         (fun e ->
           bump ();
-          History.note_release stream ~tick:!tick id e;
-          Naive.note_release naive ~tick:!tick id e)
+          emit (Release (!tick, id, e)))
         !opens;
-      History.commit_txn stream id;
-      Naive.commit_txn naive id)
+      emit (Commit id))
     !active;
+  List.rev !trace
+
+let apply_stream h = function
+  | Grant (tick, id, e, m) -> History.note_grant h ~tick id e m
+  | Release (tick, id, e) -> History.note_release h ~tick id e
+  | Discard (id, e) -> History.discard h id e
+  | Discard_txn id -> History.discard_txn h id
+  | Commit id -> History.commit_txn h id
+
+let apply_naive h = function
+  | Grant (tick, id, e, m) -> Naive.note_grant h ~tick id e m
+  | Release (tick, id, e) -> Naive.note_release h ~tick id e
+  | Discard (id, e) -> Naive.discard h id e
+  | Discard_txn id -> Naive.discard_txn h id
+  | Commit id -> Naive.commit_txn h id
+
+(* Replay one random trace into both implementations. *)
+let replay_random_trace seed =
+  let stream = History.create () in
+  let naive = Naive.create () in
+  List.iter
+    (fun op ->
+      apply_stream stream op;
+      apply_naive naive op)
+    (random_trace seed);
   (stream, naive)
 
 let sorted_pairs l =
@@ -319,6 +341,69 @@ let qcheck_streaming_vs_naive =
   QCheck.Test.make ~count:300 ~name:"streaming checker agrees with naive"
     QCheck.small_nat streaming_agrees_with_naive
 
+(* The dense certifier against History_ref, the previous representation
+   kept verbatim: every observable, exactly, after every step of the
+   random trace. [shared] hands the dense side the interner of a lock
+   table that has already interned the entities in another order, as the
+   engines do. *)
+let dense_matches_reference ~shared seed =
+  let module R = Prb_history.History_ref in
+  let dense =
+    if shared then begin
+      let locks = Prb_lock.Lock_table.create () in
+      List.iteri
+        (fun i e ->
+          ignore (Prb_lock.Lock_table.request locks (100 + i) x e))
+        [ "zz"; "d"; "b"; "q"; "c"; "a" ];
+      History.create ~interner:(Prb_lock.Lock_table.interner locks) ()
+    end
+    else History.create ()
+  in
+  let reference = R.create () in
+  let flat (i : History.interval) =
+    (i.txn, i.entity, i.mode, i.granted_at, i.released_at)
+  in
+  let flat_ref (i : R.interval) =
+    (i.txn, i.entity, i.mode, i.granted_at, i.released_at)
+  in
+  let agree () =
+    History.serializable dense = R.serializable reference
+    && History.equivalent_serial_order dense
+       = R.equivalent_serial_order reference
+    && List.map (fun (a, b) -> (flat a, flat b))
+         (History.overlapping_conflicts dense)
+       = List.map (fun (a, b) -> (flat_ref a, flat_ref b))
+           (R.overlapping_conflicts reference)
+    && List.map flat (History.committed dense)
+       = List.map flat_ref (R.committed reference)
+    && Digraph.edges (History.precedence_graph dense)
+       = Digraph.edges (R.precedence_graph reference)
+    && Digraph.vertices (History.precedence_graph dense)
+       = Digraph.vertices (R.precedence_graph reference)
+    && History.n_folded dense = R.n_folded reference
+    && History.n_retained_txns dense = R.n_retained_txns reference
+    && History.n_retained_intervals dense = R.n_retained_intervals reference
+  in
+  List.for_all
+    (fun op ->
+      apply_stream dense op;
+      (match op with
+      | Grant (tick, id, e, m) -> R.note_grant reference ~tick id e m
+      | Release (tick, id, e) -> R.note_release reference ~tick id e
+      | Discard (id, e) -> R.discard reference id e
+      | Discard_txn id -> R.discard_txn reference id
+      | Commit id -> R.commit_txn reference id);
+      agree ())
+    (random_trace seed)
+
+let qcheck_dense_vs_reference ~shared =
+  QCheck.Test.make ~count:300
+    ~name:
+      (Printf.sprintf "dense certifier matches reference (%s interner)"
+         (if shared then "lock table's" else "private"))
+    QCheck.small_nat
+    (dense_matches_reference ~shared)
+
 let () =
   Alcotest.run "prb_history"
     [
@@ -346,5 +431,7 @@ let () =
           Alcotest.test_case "bounded retention" `Quick
             test_bounded_retention_long_run;
           QCheck_alcotest.to_alcotest qcheck_streaming_vs_naive;
+          QCheck_alcotest.to_alcotest (qcheck_dense_vs_reference ~shared:false);
+          QCheck_alcotest.to_alcotest (qcheck_dense_vs_reference ~shared:true);
         ] );
     ]

@@ -804,6 +804,258 @@ let qcheck_hs_dense_vs_reference via_pool =
       if via_pool then History_stack.Pool.release pool h;
       ok)
 
+(* --- qcheck: the compiled Txn_state vs the retained reference --- *)
+
+(* A random program over entities E0..E7 and locals a/b/c: locks in both
+   modes, reads and writes of held entities, local computation over every
+   expression form, then optional explicit unlocks interleaved with more
+   computation. Always valid. *)
+let diff_entities = List.init 8 (Printf.sprintf "E%d")
+let diff_locals = [ "a"; "b"; "c" ]
+
+let rec random_expr rng depth =
+  let leaf () =
+    if Rng.chance rng 0.5 then Expr.var (List.nth diff_locals (Rng.int rng 3))
+    else Expr.int (Rng.int rng 50)
+  in
+  if depth = 0 then leaf ()
+  else
+    let sub () = random_expr rng (depth - 1) in
+    match Rng.int rng 9 with
+    | 0 -> leaf ()
+    | 1 -> Expr.Add (sub (), sub ())
+    | 2 -> Expr.Sub (sub (), sub ())
+    | 3 -> Expr.Mul (sub (), sub ())
+    | 4 -> Expr.Neg (sub ())
+    | 5 -> Expr.Min (sub (), sub ())
+    | 6 -> Expr.Max (sub (), sub ())
+    | _ -> Expr.Mix (sub ())
+
+let diff_program seed =
+  let rng = Rng.make seed in
+  let n_locks = 1 + Rng.int rng 6 in
+  let pool = Array.of_list diff_entities in
+  Rng.shuffle rng pool;
+  let locked = Array.sub pool 0 n_locks in
+  let modes =
+    Array.map
+      (fun _ ->
+        if Rng.chance rng 0.3 then Prb_txn.Lock_mode.Shared
+        else Prb_txn.Lock_mode.Exclusive)
+      locked
+  in
+  let ops = ref [] in
+  let emit op = ops := op :: !ops in
+  let local () = List.nth diff_locals (Rng.int rng 3) in
+  let data_op held =
+    let j = Rng.int rng held in
+    match Rng.int rng 3 with
+    | 0 -> emit (Program.read locked.(j) (local ()))
+    | 1 when modes.(j) = Prb_txn.Lock_mode.Exclusive ->
+        emit (Program.write locked.(j) (random_expr rng 2))
+    | _ -> emit (Program.assign (local ()) (random_expr rng 2))
+  in
+  if Rng.chance rng 0.5 then emit (Program.assign (local ()) (random_expr rng 2));
+  Array.iteri
+    (fun i e ->
+      emit (Program.Lock (modes.(i), e));
+      for _ = 1 to Rng.int rng 4 do
+        data_op (i + 1)
+      done)
+    locked;
+  if Rng.chance rng 0.6 then
+    Array.iter
+      (fun e ->
+        emit (Program.unlock e);
+        if Rng.chance rng 0.3 then emit (Program.assign (local ()) (random_expr rng 1)))
+      locked;
+  Program.make ~name:(Printf.sprintf "d%d" seed)
+    ~locals:(List.map (fun v -> (v, vint (Rng.int rng 10))) diff_locals)
+    (List.rev !ops)
+
+(* Drive the same random schedule — grants, data ops, unlocks, rollbacks
+   to well-defined targets, commit and dispose — through Txn_state and
+   Txn_state_ref, each against its own store, comparing every observable
+   after every step. The reference returns an unlock's final value, which
+   is installed here the way the engines used to; the compiled state
+   installs it itself, so the two stores must stay equal. *)
+let txn_states_agree strategy ~allocated seed =
+  let module R = Prb_rollback.Txn_state_ref in
+  let rng = Rng.make (seed + 7919) in
+  let program = diff_program seed in
+  let store_of () =
+    Store.of_list (List.mapi (fun i e -> (e, vint (100 + i))) diff_entities)
+  in
+  let s_new = store_of () and s_ref = store_of () in
+  let copy_allocation =
+    if allocated then Some (fun key -> String.length key + Char.code key.[2] mod 3)
+    else None
+  in
+  let t =
+    Txn_state.create ?copy_allocation ~pool:(History_stack.Pool.create ())
+      ~strategy ~id:seed ~store:s_new program
+  in
+  let r =
+    R.create ?copy_allocation ~pool:(History_stack.Pool.create ()) ~strategy
+      ~id:seed ~store:s_ref program
+  in
+  let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+  let phase_eq () =
+    match (Txn_state.phase t, R.phase r) with
+    | Txn_state.Growing, R.Growing
+    | Txn_state.Shrinking, R.Shrinking
+    | Txn_state.Committed, R.Committed -> true
+    | _ -> false
+  in
+  let agree () =
+    let growing = Txn_state.phase t = Txn_state.Growing in
+    let li = Txn_state.lock_index t in
+    phase_eq ()
+    && Txn_state.pc t = R.pc r
+    && li = R.lock_index r
+    && Txn_state.finished t = R.finished r
+    && Txn_state.locks_held t = R.locks_held r
+    && List.for_all
+         (fun e ->
+           Txn_state.holds t e = R.holds r e
+           && Txn_state.lock_state_of t e = R.lock_state_of r e
+           && ((not growing)
+              || outcome (fun () -> Txn_state.rollback_target t e)
+                 = outcome (fun () -> R.rollback_target r e)
+                 && outcome (fun () -> Txn_state.cost_to_release t e)
+                    = outcome (fun () -> R.cost_to_release r e)
+                 && (Txn_state.holds t e = None
+                    || Value.equal (Txn_state.read_view t e) (R.read_view r e))))
+         diff_entities
+    && List.for_all
+         (fun q -> Txn_state.cost_of_target t q = R.cost_of_target r q)
+         (List.init (li + 1) (fun q -> q - 1))
+    && Txn_state.well_defined_states t = R.well_defined_states r
+    && List.for_all
+         (fun q -> Txn_state.well_defined t q = R.well_defined r q)
+         (List.init (li + 3) (fun q -> q - 1))
+    && List.for_all
+         (fun v ->
+           let lookup f = match f v with x -> Some x | exception Not_found -> None in
+           Option.equal Value.equal
+             (lookup (Txn_state.local_value t))
+             (lookup (R.local_value r)))
+         ("zz" :: diff_locals)
+    && Txn_state.current_copies t = R.current_copies r
+    && Txn_state.peak_copies t = R.peak_copies r
+    && Txn_state.ops_lost t = R.ops_lost r
+    && Txn_state.total_executed t = R.total_executed r
+    && Txn_state.n_rollbacks t = R.n_rollbacks r
+    && Txn_state.monitored_writes t = R.monitored_writes r
+    && Store.snapshot s_new = Store.snapshot s_ref
+  in
+  let ok = ref (agree ()) in
+  let finished = ref false in
+  let steps = ref 0 in
+  while !ok && (not !finished) && !steps < 200 do
+    incr steps;
+    (if Txn_state.phase t = Txn_state.Growing && Rng.chance rng 0.15 then begin
+       let targets = Txn_state.restart_target :: Txn_state.well_defined_states t in
+       let q = List.nth targets (Rng.int rng (List.length targets)) in
+       ok := Txn_state.rollback_to t q = R.rollback_to r q
+     end
+     else
+       match (Txn_state.next_action t, R.next_action r) with
+       | Txn_state.Need_lock (m, e), R.Need_lock (m', e') ->
+           ok := m = m' && e = e';
+           Txn_state.lock_granted t;
+           R.lock_granted r
+       | Txn_state.Data_step, R.Data_step ->
+           Txn_state.exec_data_op t;
+           R.exec_data_op r
+       | Txn_state.Need_unlock e, R.Need_unlock e' ->
+           let u = Txn_state.perform_unlock t in
+           let u', final = R.perform_unlock r in
+           Option.iter (Store.install s_ref u') final;
+           ok := e = e' && u = u' && e = u
+       | Txn_state.At_end, R.At_end ->
+           let finals = Txn_state.commit t and finals' = R.commit r in
+           List.iter (fun (e, v) -> Store.install s_new e v) finals;
+           List.iter (fun (e, v) -> Store.install s_ref e v) finals';
+           ok :=
+             List.length finals = List.length finals'
+             && List.for_all2
+                  (fun (e, v) (e', v') -> e = e' && Value.equal v v')
+                  finals finals';
+           Txn_state.dispose t;
+           R.dispose r;
+           finished := true
+       | _ -> ok := false);
+    ok := !ok && agree ()
+  done;
+  !ok
+
+let qcheck_txn_state_vs_reference strategy ~allocated =
+  QCheck.Test.make ~count:300
+    ~name:
+      (Printf.sprintf "compiled txn state matches reference (%s%s)"
+         (Strategy.to_string strategy)
+         (if allocated then ", allocated" else ""))
+    QCheck.small_nat
+    (txn_states_agree strategy ~allocated)
+
+(* A valid random program with one random corruption — an inserted op
+   (any kind, any entity, an undeclared local included), a deleted op, or
+   a flipped lock mode — so every violation kind turns up: both
+   implementations must accept the same programs and reject the rest
+   with the same message. *)
+let qcheck_txn_state_invalid_programs =
+  let module R = Prb_rollback.Txn_state_ref in
+  QCheck.Test.make ~count:500 ~name:"compiled txn state rejects like reference"
+    QCheck.small_nat (fun seed ->
+      let rng = Rng.make (seed + 31) in
+      let ops = Array.to_list (diff_program seed).Program.ops in
+      let n = List.length ops in
+      let entity () = List.nth diff_entities (Rng.int rng 8) in
+      let local () = List.nth ("zz" :: diff_locals) (Rng.int rng 4) in
+      let corrupted =
+        match Rng.int rng 3 with
+        | 0 ->
+            let op =
+              match Rng.int rng 6 with
+              | 0 -> Program.lock_x (entity ())
+              | 1 -> Program.lock_s (entity ())
+              | 2 -> Program.unlock (entity ())
+              | 3 -> Program.read (entity ()) (local ())
+              | 4 -> Program.write (entity ()) (Expr.var (local ()))
+              | _ -> Program.assign (local ()) Expr.(var (local ()) + int 1)
+            in
+            let at = Rng.int rng (n + 1) in
+            List.filteri (fun i _ -> i < at) ops
+            @ (op :: List.filteri (fun i _ -> i >= at) ops)
+        | 1 ->
+            let at = Rng.int rng n in
+            List.filteri (fun i _ -> i <> at) ops
+        | _ ->
+            List.map
+              (function
+                | Program.Lock (Prb_txn.Lock_mode.Exclusive, e) ->
+                    Program.lock_s e
+                | Program.Lock (Prb_txn.Lock_mode.Shared, e) -> Program.lock_x e
+                | op -> op)
+              ops
+      in
+      let program =
+        Program.make ~name:"corrupt"
+          ~locals:(List.map (fun v -> (v, vint 0)) diff_locals)
+          corrupted
+      in
+      let store = fresh_store () in
+      let result create =
+        match create () with
+        | () -> None
+        | exception Invalid_argument m -> Some m
+      in
+      result (fun () ->
+          ignore (Txn_state.create ~strategy:Strategy.Sdg ~id:0 ~store program))
+      = result (fun () ->
+            ignore (R.create ~strategy:Strategy.Sdg ~id:0 ~store program)))
+
 let () =
   Alcotest.run "prb_rollback"
     [
@@ -852,6 +1104,17 @@ let () =
           Alcotest.test_case "commit values" `Quick test_txn_commit_values;
           Alcotest.test_case "monitored writes" `Quick test_txn_monitored_writes;
           Alcotest.test_case "copy accounting" `Quick test_txn_copy_accounting;
+          QCheck_alcotest.to_alcotest
+            (qcheck_txn_state_vs_reference Strategy.Total ~allocated:false);
+          QCheck_alcotest.to_alcotest
+            (qcheck_txn_state_vs_reference Strategy.Mcs ~allocated:false);
+          QCheck_alcotest.to_alcotest
+            (qcheck_txn_state_vs_reference Strategy.Sdg ~allocated:false);
+          QCheck_alcotest.to_alcotest
+            (qcheck_txn_state_vs_reference (Strategy.Sdg_k 1) ~allocated:false);
+          QCheck_alcotest.to_alcotest
+            (qcheck_txn_state_vs_reference (Strategy.Sdg_k 1) ~allocated:true);
+          QCheck_alcotest.to_alcotest qcheck_txn_state_invalid_programs;
         ] );
       ( "oracle properties",
         [
